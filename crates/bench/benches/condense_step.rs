@@ -1,9 +1,6 @@
 //! `condense_step`: single-thread wall time and allocation behaviour of
 //! one condensation step — the matcher's five-pass Eq. 7 step and a full
-//! DM round — with the forward-plan cache on and off. This is the
-//! headline bench for the condense-step fast path: the cache-off column
-//! is exactly `DECO_PLAN_CACHE=0` (forced per-thread, so the run needs
-//! no env juggling), and the ratio is the realized speedup.
+//! DM round. This is the headline bench for the condense-step fast path.
 //!
 //! Writes `BENCH_condense.json` at the repository root (linked from
 //! EXPERIMENTS.md), following the `BENCH_kernels.json` schema
@@ -23,7 +20,7 @@
 //! ```
 //!
 //! `--check` reads the committed `BENCH_condense.json` *before*
-//! overwriting it and fails (exit 1) if `one_step_match_cache_on` got
+//! overwriting it and fails (exit 1) if `one_step_match` got
 //! slower than [`CHECK_FACTOR`] × the committed mean — a generous
 //! threshold meant to catch order-of-magnitude regressions on shared CI
 //! runners, not micro-noise.
@@ -38,7 +35,7 @@ use deco_condense::{
 };
 use deco_nn::{ConvNet, ConvNetConfig};
 use deco_telemetry::json::Json;
-use deco_tensor::{plancache, Rng, StorageDtype, Tensor};
+use deco_tensor::{Rng, StorageDtype, Tensor};
 
 /// System allocator wrapped with an allocation counter.
 struct CountingAlloc;
@@ -64,7 +61,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// this multiple of the committed baseline.
 const CHECK_FACTOR: f64 = 2.5;
 /// Op the `--check` gate tracks.
-const CHECK_OP: &str = "one_step_match_cache_on";
+const CHECK_OP: &str = "one_step_match";
 
 fn iters() -> usize {
     std::env::var("DECO_BENCH_ITERS")
@@ -93,12 +90,10 @@ struct OpResult {
     allocs_per_op: f64,
 }
 
-/// Times `f` single-threaded with the plan cache forced on or off for
-/// the whole region: one warm-up call, then `iters` timed calls with
-/// the allocation counter read around the timed region.
-fn time_op(name: &'static str, iters: usize, cache_on: bool, mut f: impl FnMut()) -> OpResult {
+/// Times `f` single-threaded: one warm-up call, then `iters` timed
+/// calls with the allocation counter read around the timed region.
+fn time_op(name: &'static str, iters: usize, mut f: impl FnMut()) -> OpResult {
     deco_runtime::with_thread_count(1, move || {
-        plancache::set_thread_override(Some(cache_on));
         f();
         let allocs_before = ALLOCS.load(Ordering::Relaxed);
         let start = Instant::now();
@@ -107,7 +102,6 @@ fn time_op(name: &'static str, iters: usize, cache_on: bool, mut f: impl FnMut()
         }
         let secs = start.elapsed().as_secs_f64() / iters as f64;
         let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-        plancache::set_thread_override(None);
         OpResult {
             name,
             mean_ms: secs * 1e3,
@@ -159,14 +153,8 @@ fn bench_ops(iters: usize) -> Vec<OpResult> {
 
     let mut round_rng = Rng::new(7);
     vec![
-        time_op(CHECK_OP, iters, true, || step(())),
-        time_op("one_step_match_cache_off", iters, false, || step(())),
-        time_op("dm_round_cache_on", iters, true, || {
-            dm_round(&mut round_rng)
-        }),
-        time_op("dm_round_cache_off", iters, false, || {
-            dm_round(&mut round_rng)
-        }),
+        time_op(CHECK_OP, iters, || step(())),
+        time_op("dm_round", iters, || dm_round(&mut round_rng)),
     ]
 }
 
@@ -243,12 +231,6 @@ fn baseline_mean_ms(path: &str, op: &str) -> Option<f64> {
         .as_f64()
 }
 
-fn speedup(results: &[OpResult], on: &str, off: &str) -> Option<f64> {
-    let on_ms = results.iter().find(|r| r.name == on)?.mean_ms;
-    let off_ms = results.iter().find(|r| r.name == off)?.mean_ms;
-    Some(off_ms / on_ms)
-}
-
 fn parse_dtypes() -> Vec<StorageDtype> {
     let args: Vec<String> = std::env::args().collect();
     for (i, arg) in args.iter().enumerate() {
@@ -280,15 +262,12 @@ fn main() {
     );
     let results = bench_ops(iters);
 
-    println!("\n## condense_step — plan cache on vs off, single thread\n");
+    println!("\n## condense_step — single thread\n");
     println!("| op | 1T mean (ms) | allocs/op |");
     println!("|---|---|---|");
     for r in &results {
         println!("| {} | {:.4} | {:.1} |", r.name, r.mean_ms, r.allocs_per_op);
     }
-    let step_speedup = speedup(&results, CHECK_OP, "one_step_match_cache_off").unwrap_or(0.0);
-    let dm_speedup = speedup(&results, "dm_round_cache_on", "dm_round_cache_off").unwrap_or(0.0);
-    println!("\nspeedup: one_step_match {step_speedup:.2}x, dm_round {dm_speedup:.2}x");
 
     let dtypes = parse_dtypes();
     eprintln!(
@@ -344,8 +323,6 @@ fn main() {
         ("threads", Json::Num(1.0)),
         ("available_parallelism", Json::Num(parallelism as f64)),
         ("simd_dispatch", Json::Str(dispatch.to_string())),
-        ("speedup_one_step_match", Json::Num(step_speedup)),
-        ("speedup_dm_round", Json::Num(dm_speedup)),
         ("ops", Json::Arr(ops)),
         ("storage_dtypes", Json::Arr(dtype_rows)),
     ]);

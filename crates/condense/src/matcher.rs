@@ -50,18 +50,6 @@ fn maybe_augment(x: &Var, aug: Option<&Augmentation>) -> Var {
     }
 }
 
-/// Drop guard bounding one match job's plan-cache lifetime: cached
-/// im2col slabs and weight packs are shared by the passes *within* a
-/// job and dropped when it ends (workers own thread-local caches, so
-/// this is the per-job scoping the determinism contract relies on).
-pub(crate) struct PlanCacheJobScope;
-
-impl Drop for PlanCacheJobScope {
-    fn drop(&mut self) {
-        deco_tensor::plancache::clear();
-    }
-}
-
 /// The model gradient of the (weighted) cross-entropy loss on a batch.
 ///
 /// # Panics
@@ -73,7 +61,7 @@ pub fn model_gradient(
     weights: Option<&[f32]>,
     aug: Option<&Augmentation>,
 ) -> GradList {
-    deco_tensor::plancache::with_tape_arena(|| {
+    deco_tensor::with_tape_arena(|| {
         let x = maybe_augment(&Var::constant(images.clone()), aug);
         let logits = net.forward(&x, false);
         let loss = weighted_cross_entropy(&logits, labels, weights, Reduction::Sum);
@@ -115,7 +103,7 @@ fn input_gradient(
     labels: &[usize],
     aug: Option<&Augmentation>,
 ) -> Tensor {
-    deco_tensor::plancache::with_tape_arena(|| {
+    deco_tensor::with_tape_arena(|| {
         let leaf = Var::leaf(images.clone(), true);
         let x = maybe_augment(&leaf, aug);
         let logits = net.forward(&x, true);
@@ -162,10 +150,9 @@ pub fn one_step_match(
 ) -> MatchResult {
     assert!(epsilon_scale > 0.0, "epsilon scale must be positive");
     let _g = deco_telemetry::span!("condense.matcher.one_step");
-    // Scope the thread's plan cache to this match job: every pass below
-    // shares cached im2col slabs and weight packs, and the guard clears
-    // them on any exit path so nothing leaks into the next job.
-    let _cache_scope = PlanCacheJobScope;
+    // Every pass below lowers `batch.syn_images` (unaugmented) through
+    // the same first conv: the g_syn pass keeps the im2col columns with
+    // the images' buffer and the θ± passes reuse them.
     deco_telemetry::counter!("condense.matcher.distance_evals");
     // Pass 1: g_real (with confidence weights).
     let g_real = model_gradient(
@@ -517,39 +504,11 @@ mod tests {
     }
 
     #[test]
-    fn one_step_match_reuses_im2col_lowerings() {
-        use deco_tensor::plancache;
-        deco_runtime::with_thread_count(1, || {
-            plancache::set_thread_override(Some(true));
-            let mut rng = Rng::new(8);
-            let net = tiny_net(&mut rng, 2);
-            let (syn, sl, real, rl) = batch_data(&mut rng);
-            let batch = MatchBatch {
-                syn_images: &syn,
-                syn_labels: &sl,
-                real_images: &real,
-                real_labels: &rl,
-                real_weights: None,
-            };
-            plancache::clear();
-            plancache::reset_stats();
-            let _ = one_step_match(&net, &batch, None, 0.01);
-            let s = plancache::stats();
-            assert!(
-                s.im2col_hits >= 2,
-                "expected >= 2 im2col slab hits per matching step (the g_syn \
-                 weight-grad pass and the θ± forwards all lower the same syn \
-                 batch), got {}",
-                s.im2col_hits
-            );
-            assert_eq!(s.held_bytes, 0, "job scope must clear the cache");
-            plancache::set_thread_override(None);
-        });
-    }
-
-    #[test]
-    fn cache_off_matches_cache_on_bitwise() {
-        use deco_tensor::plancache;
+    fn match_on_kept_columns_matches_a_fresh_copy_bitwise() {
+        // The syn images' buffer keeps its im2col columns across the
+        // passes of a step and across steps. Mutating it in place (as an
+        // image update does) must drop them: every step must match the
+        // same step on a fresh copy of the images, bit for bit.
         deco_runtime::with_thread_count(1, || {
             let mut rng = Rng::new(9);
             let config = ConvNetConfig {
@@ -561,27 +520,35 @@ mod tests {
                 norm: true,
             };
             let params = ConvNet::new(config, &mut rng).get_params();
-            let (syn, sl, real, rl) = batch_data(&mut rng);
-            let batch = MatchBatch {
-                syn_images: &syn,
-                syn_labels: &sl,
-                real_images: &real,
-                real_labels: &rl,
-                real_weights: None,
-            };
+            let (mut syn, sl, real, rl) = batch_data(&mut rng);
             // The step perturbs and restores θ in floating point, which
             // is not bit-exact — so each run gets a fresh net from the
             // same snapshot, exactly like the parallel dispatcher does.
-            let run = |on: bool| {
-                plancache::set_thread_override(Some(on));
-                let net = ConvNet::from_params(config, &params);
-                one_step_match(&net, &batch, None, 0.01)
+            let run = |syn: &Tensor| {
+                let batch = MatchBatch {
+                    syn_images: syn,
+                    syn_labels: &sl,
+                    real_images: &real,
+                    real_labels: &rl,
+                    real_weights: None,
+                };
+                one_step_match(&ConvNet::from_params(config, &params), &batch, None, 0.01)
             };
-            let on = run(true);
-            let off = run(false);
-            plancache::set_thread_override(None);
-            assert_eq!(on.distance.to_bits(), off.distance.to_bits());
-            assert_eq!(on.image_grad.data(), off.image_grad.data());
+            for step in 0..3 {
+                let kept = run(&syn);
+                let fresh = run(&Tensor::from_vec(syn.data().to_vec(), syn.shape().clone()));
+                assert_eq!(
+                    kept.distance.to_bits(),
+                    fresh.distance.to_bits(),
+                    "step {step}"
+                );
+                assert_eq!(
+                    kept.image_grad.data(),
+                    fresh.image_grad.data(),
+                    "step {step}"
+                );
+                syn.add_scaled(&kept.image_grad, -0.5);
+            }
         });
     }
 

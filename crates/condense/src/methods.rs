@@ -355,12 +355,9 @@ impl Condenser for DmCondenser {
                 rows_list.push(rows);
             }
             let grads = deco_runtime::parallel_map(inputs, move |_, (real, syn)| {
-                // Per-job plan-cache scope + tape arena: the two feature
-                // passes share im2col/pack entries and recycle tape
-                // nodes; the guard drops cached entries when the job
-                // ends (each worker owns its thread-local cache).
-                let _cache_scope = crate::matcher::PlanCacheJobScope;
-                deco_tensor::plancache::with_tape_arena(|| {
+                // Tape arena per job: the two feature passes recycle
+                // tape nodes.
+                deco_tensor::with_tape_arena(|| {
                     let net = ConvNet::from_params(config, &params);
                     // Real mean embedding (no gradient needed).
                     let real_feats = net.features(&Var::constant(real), true);

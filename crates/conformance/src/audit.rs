@@ -8,8 +8,7 @@
 //! and pure-geometry helpers).
 //!
 //! Coverage is *enforced*, not aspirational: [`parsed_op_surface`],
-//! [`parsed_layer_surface`], [`parsed_plancache_surface`] and
-//! [`parsed_dtype_surface`] extract the real public surface from the
+//! [`parsed_layer_surface`] and [`parsed_dtype_surface`] extract the real public surface from the
 //! source files at test time, and the audit tests assert two-way
 //! agreement with [`entries`] — a new public op without an audit entry
 //! fails CI.
@@ -30,7 +29,7 @@ use deco_nn::{
 use deco_telemetry::Json;
 use deco_tensor::gradcheck::grad_report;
 use deco_tensor::{
-    fusion, Conv2dSpec, Reduction, Rng, ScalarType, StorageDtype, StoredTensor, Tensor, Var,
+    Conv2dSpec, Reduction, Rng, ScalarType, StorageDtype, StoredTensor, Tensor, Var,
 };
 
 /// How an entry is verified.
@@ -273,8 +272,8 @@ pub fn entries() -> Vec<AuditEntry> {
         entry!("transform::one_hot", Algebraic, 0.0, check_one_hot),
         // Fused kernels are held to *bitwise* identity (tolerance 0)
         // with the unfused graph they replace — the fusion layer's
-        // contract, checked here through the Var dispatch that selects
-        // fused vs unfused via the DECO_FUSION thread override.
+        // contract, checked here through the fused Var ops against the
+        // `crate::unfused` reference chains.
         entry!(
             "fused::group_norm_relu_fwd",
             Algebraic,
@@ -316,59 +315,18 @@ pub fn entries() -> Vec<AuditEntry> {
         entry!("layers::Linear", Gradcheck, 3e-2, check_layer_linear),
         entry!("layers::GroupNorm", Gradcheck, 5e-2, check_layer_group_norm),
         entry!("dropout::Dropout", Algebraic, 0.0, check_dropout_eval),
-        // --- crates/tensor/src/plancache.rs + the tape arena ---
+        // --- the tape arena ---
         entry!(
-            "plancache::enabled",
-            Algebraic,
-            0.0,
-            check_plancache_override
-        ),
-        entry!(
-            "plancache::set_thread_override",
-            Algebraic,
-            0.0,
-            check_plancache_override
-        ),
-        entry!("plancache::stats", Algebraic, 0.0, check_plancache_stats),
-        entry!(
-            "plancache::reset_stats",
-            Algebraic,
-            0.0,
-            check_plancache_stats
-        ),
-        entry!("plancache::hits", Algebraic, 0.0, check_plancache_stats),
-        entry!("plancache::misses", Algebraic, 0.0, check_plancache_stats),
-        entry!(
-            "plancache::pack_hits_for",
-            Algebraic,
-            0.0,
-            check_pack_dtype_stats
-        ),
-        entry!(
-            "plancache::pack_misses_for",
-            Algebraic,
-            0.0,
-            check_pack_dtype_stats
-        ),
-        entry!("plancache::clear", Algebraic, 0.0, check_plancache_clear),
-        entry!(
-            "plancache::with_tape_arena",
+            "tensor::with_tape_arena",
             Algebraic,
             0.0,
             check_tape_arena_transparent
         ),
         entry!(
-            "plancache::arena_node_high_water",
+            "tensor::arena_node_high_water",
             Algebraic,
             0.0,
             check_arena_high_water
-        ),
-        entry!("tensor::buffer_id", Algebraic, 0.0, check_buffer_identity),
-        entry!(
-            "tensor::buffer_version",
-            Algebraic,
-            0.0,
-            check_buffer_identity
         ),
         // --- crates/tensor/src/dtype.rs: storage precision ---
         // Tolerances here are the per-dtype bands the formats pin down:
@@ -436,7 +394,6 @@ pub fn entries() -> Vec<AuditEntry> {
         entry!("dtype::widen_into", Algebraic, 0.0, check_stored_roundtrip),
         entry!("dtype::dtype", Algebraic, 0.0, check_stored_roundtrip),
         entry!("dtype::as_f32", Algebraic, 0.0, check_stored_roundtrip),
-        entry!("dtype::buffer_id", Algebraic, 0.0, check_stored_roundtrip),
         entry!(
             "dtype::encode_with",
             Algebraic,
@@ -562,20 +519,6 @@ pub fn parsed_layer_surface() -> Vec<String> {
             out.push(format!("{module}::{s}"));
         }
     }
-    out.sort();
-    out
-}
-
-/// `plancache::fn` names for the plan-cache / tape-arena public surface
-/// in `crates/tensor/src/plancache.rs` (includes `PlanCacheStats`
-/// methods — the parser does not distinguish free functions from
-/// methods, and both are public API).
-pub fn parsed_plancache_surface() -> Vec<String> {
-    let path = repo_crates_dir().join("tensor/src/plancache.rs");
-    let mut out: Vec<String> = parse_pub_fns(&path)
-        .into_iter()
-        .map(|f| format!("plancache::{f}"))
-        .collect();
     out.sort();
     out
 }
@@ -1143,9 +1086,9 @@ fn check_one_hot() -> f32 {
 // --- Fused-kernel checks -----------------------------------------------
 //
 // Each fused op's contract is bitwise identity with the unfused graph it
-// replaces, so these checks run the Var graph twice — fusion forced on,
-// then forced off via the thread override — and return 0.0 only when
-// every output bit agrees. Tolerance is 0: any drift is a failure.
+// replaces, so these checks run the fused op and the unfused reference
+// graph on the same inputs and return 0.0 only when every output bit
+// agrees. Tolerance is 0: any drift is a failure.
 
 /// 1.0 unless `a` and `b` agree in shape and every f32 bit.
 fn bits_differ(a: &Tensor, b: &Tensor) -> f32 {
@@ -1161,24 +1104,25 @@ fn bits_differ(a: &Tensor, b: &Tensor) -> f32 {
     }
 }
 
-/// GroupNorm+ReLU graph under one fusion mode: forward value plus the
-/// three input gradients.
+/// GroupNorm+ReLU graph, fused or as the unfused reference chain:
+/// forward value plus the three input gradients.
 fn run_gn_relu(fused: bool) -> (Tensor, Tensor, Tensor, Tensor) {
-    fusion::set_thread_override(Some(fused));
     let mut rng = Rng::new(171);
     let x = Var::leaf(Tensor::randn([2, 4, 3, 3], &mut rng), true);
     let gamma = Var::leaf(Tensor::randn([1, 4, 1, 1], &mut rng), true);
     let beta = Var::leaf(Tensor::randn([1, 4, 1, 1], &mut rng), true);
-    let y = x.group_norm_relu(&gamma, &beta, 2, 1e-5);
+    let y = if fused {
+        x.group_norm_relu(&gamma, &beta, 2, 1e-5)
+    } else {
+        crate::unfused::group_norm_relu(&x, &gamma, &beta, 2, 1e-5)
+    };
     y.sum().backward();
-    let out = (
+    (
         y.value().clone(),
         x.grad().expect("x grad"),
         gamma.grad().expect("gamma grad"),
         beta.grad().expect("beta grad"),
-    );
-    fusion::set_thread_override(None);
-    out
+    )
 }
 
 fn check_fused_gn_relu_fwd() -> f32 {
@@ -1195,17 +1139,19 @@ fn check_fused_gn_relu_bwd() -> f32 {
         .max(bits_differ(&on.3, &off.3))
 }
 
-/// ReLU+AvgPool graph under one fusion mode: forward value and input
-/// gradient. Negative-heavy input exercises the rectification mask.
+/// ReLU+AvgPool graph, fused or as `relu → avg_pool2d`: forward value
+/// and input gradient. Negative-heavy input exercises the
+/// rectification mask.
 fn run_relu_pool(fused: bool) -> (Tensor, Tensor) {
-    fusion::set_thread_override(Some(fused));
     let mut rng = Rng::new(172);
     let x = Var::leaf(Tensor::randn([2, 3, 6, 6], &mut rng), true);
-    let y = x.relu_avg_pool2d(2);
+    let y = if fused {
+        x.relu_avg_pool2d(2)
+    } else {
+        x.relu().avg_pool2d(2)
+    };
     y.square().sum().backward();
-    let out = (y.value().clone(), x.grad().expect("x grad"));
-    fusion::set_thread_override(None);
-    out
+    (y.value().clone(), x.grad().expect("x grad"))
 }
 
 fn check_fused_relu_pool_fwd() -> f32 {
@@ -1220,20 +1166,23 @@ fn check_fused_relu_pool_bwd() -> f32 {
     bits_differ(&on.1, &off.1)
 }
 
-/// Fused softmax cross-entropy under one fusion mode: loss value and
-/// logits gradient, with class weights and mean reduction so the scale
-/// path is exercised.
+/// Softmax cross-entropy, fused or as `log_softmax → nll`: loss value
+/// and logits gradient, with class weights and mean reduction so the
+/// scale path is exercised.
 fn run_softmax_ce(fused: bool) -> (Tensor, Tensor) {
-    fusion::set_thread_override(Some(fused));
     let mut rng = Rng::new(173);
     let logits = Var::leaf(Tensor::randn([5, 7], &mut rng), true);
     let labels = [0usize, 3, 6, 1, 3];
     let weights = [1.0f32, 0.5, 2.0, 1.5, 0.25];
-    let loss = logits.log_softmax_cross_entropy(&labels, Some(&weights), Reduction::Mean);
+    let loss = if fused {
+        logits.log_softmax_cross_entropy(&labels, Some(&weights), Reduction::Mean)
+    } else {
+        logits
+            .log_softmax()
+            .nll(&labels, Some(&weights), Reduction::Mean)
+    };
     loss.backward();
-    let out = (loss.value().clone(), logits.grad().expect("logits grad"));
-    fusion::set_thread_override(None);
-    out
+    (loss.value().clone(), logits.grad().expect("logits grad"))
 }
 
 fn check_fused_softmax_ce_fwd() -> f32 {
@@ -1424,75 +1373,7 @@ fn check_eq7_matcher() -> f32 {
     (1.0 - cos).max(0.0)
 }
 
-fn check_plancache_override() -> f32 {
-    use deco_tensor::plancache;
-    // The thread override must win over the env default in both
-    // directions, and clearing it must restore the default.
-    plancache::set_thread_override(Some(false));
-    let off = plancache::enabled();
-    plancache::set_thread_override(Some(true));
-    let on = plancache::enabled();
-    plancache::set_thread_override(None);
-    if on && !off {
-        0.0
-    } else {
-        1.0
-    }
-}
-
-fn check_plancache_stats() -> f32 {
-    use deco_tensor::plancache;
-    plancache::set_thread_override(Some(true));
-    plancache::clear();
-    plancache::reset_stats();
-    let mut rng = Rng::new(140);
-    // 2·16·64·16 = 32768 crosses the packed-GEMM gate, so the matmul
-    // consults the pack cache: first call misses, second call hits, and
-    // the cached product must be identical.
-    let a = Tensor::randn([16, 64], &mut rng);
-    let b = Tensor::randn([64, 16], &mut rng);
-    let first = a.matmul(&b);
-    let after_miss = plancache::stats();
-    let second = a.matmul(&b);
-    let after_hit = plancache::stats();
-    plancache::clear();
-    plancache::set_thread_override(None);
-    let sums_consistent = after_hit.hits()
-        == after_hit.im2col_hits + after_hit.pack_hits + after_hit.bcast_hits
-        && after_hit.misses()
-            == after_hit.im2col_misses + after_hit.pack_misses + after_hit.bcast_misses;
-    let ok =
-        after_miss.misses() >= 1 && after_hit.hits() >= 1 && sums_consistent && first == second;
-    if ok {
-        0.0
-    } else {
-        1.0
-    }
-}
-
-fn check_plancache_clear() -> f32 {
-    use deco_tensor::plancache;
-    plancache::set_thread_override(Some(true));
-    plancache::clear();
-    plancache::reset_stats();
-    let mut rng = Rng::new(141);
-    let a = Tensor::randn([16, 64], &mut rng);
-    let b = Tensor::randn([64, 16], &mut rng);
-    let _ = a.matmul(&b);
-    let warm = plancache::stats();
-    plancache::clear();
-    let cleared = plancache::stats();
-    plancache::set_thread_override(None);
-    let ok = warm.held_bytes > 0 && cleared.held_bytes == 0 && cleared.evictions > warm.evictions;
-    if ok {
-        0.0
-    } else {
-        1.0
-    }
-}
-
 fn check_tape_arena_transparent() -> f32 {
-    use deco_tensor::plancache;
     // Recycling tape nodes must not change any value or gradient: the
     // same backward pass inside and outside an arena scope is bitwise
     // identical.
@@ -1505,12 +1386,8 @@ fn check_tape_arena_transparent() -> f32 {
         loss.backward();
         (loss.value().item(), leaf.grad().expect("leaf grad"))
     };
-    plancache::set_thread_override(Some(true));
-    let (la, ga) = plancache::with_tape_arena(run);
-    plancache::clear();
-    plancache::set_thread_override(Some(false));
+    let (la, ga) = deco_tensor::with_tape_arena(run);
     let (lb, gb) = run();
-    plancache::set_thread_override(None);
     if la.to_bits() == lb.to_bits() && ga == gb {
         0.0
     } else {
@@ -1519,17 +1396,14 @@ fn check_tape_arena_transparent() -> f32 {
 }
 
 fn check_arena_high_water() -> f32 {
-    use deco_tensor::plancache;
-    plancache::set_thread_override(Some(true));
-    let before = plancache::arena_node_high_water();
+    let before = deco_tensor::arena_node_high_water();
     let mut rng = Rng::new(143);
     let x = Tensor::randn([3, 3], &mut rng);
-    plancache::with_tape_arena(|| {
+    deco_tensor::with_tape_arena(|| {
         let leaf = Var::leaf(x.clone(), true);
         leaf.square().sum().backward();
     });
-    let after = plancache::arena_node_high_water();
-    plancache::set_thread_override(None);
+    let after = deco_tensor::arena_node_high_water();
     // The scope built at least one recyclable node, so the gauge is
     // positive and monotone.
     if after >= before && after > 0 {
@@ -1689,11 +1563,11 @@ fn check_stored_roundtrip() -> f32 {
     use deco_tensor::dtype::snap_to_dtype;
     let mut rng = Rng::new(155);
     let t = Tensor::randn([5, 7], &mut rng);
-    // F32: zero-copy wrap — shared identity, bitwise decode.
+    // F32: zero-copy wrap — the same buffer, bitwise decode.
     let f = StoredTensor::encode(&t, StorageDtype::F32);
     let mut ok = f.dtype() == StorageDtype::F32
-        && f.buffer_id() == t.buffer_id()
-        && f.as_f32().is_some_and(|inner| inner.data() == t.data())
+        && f.as_f32()
+            .is_some_and(|inner| inner.data().as_ptr() == t.data().as_ptr())
         && f.decode().data() == t.data();
     for d in [StorageDtype::Bf16, StorageDtype::F16, StorageDtype::I8] {
         let s = StoredTensor::encode(&t, d);
@@ -1705,7 +1579,6 @@ fn check_stored_roundtrip() -> f32 {
         ok = ok
             && s.dtype() == d
             && s.as_f32().is_none()
-            && s.buffer_id() != t.buffer_id()
             && once.data() == snap_to_dtype(&t, d).data()
             && once.data() == widened.as_slice()
             && StoredTensor::encode(&once, d).decode().data() == once.data();
@@ -1799,12 +1672,10 @@ fn check_snap_idempotent() -> f32 {
 }
 
 fn check_matmul_stored() -> f32 {
-    use deco_tensor::plancache;
     let mut rng = Rng::new(159);
-    plancache::set_thread_override(Some(true));
     let mut ok = true;
     // One shape below the packed-GEMM gate (decode fallback) and one
-    // above it (plan-cached pack-time widening).
+    // above it (pack-time widening).
     for (m, k, n) in [(3usize, 4usize, 2usize), (16, 64, 16)] {
         let a = Tensor::randn([m, k], &mut rng);
         let b = Tensor::randn([k, n], &mut rng);
@@ -1816,77 +1687,7 @@ fn check_matmul_stored() -> f32 {
             ok = ok && got1.data() == want.data() && got4.data() == want.data();
         }
     }
-    plancache::clear();
-    plancache::set_thread_override(None);
     if ok {
-        0.0
-    } else {
-        1.0
-    }
-}
-
-fn check_pack_dtype_stats() -> f32 {
-    use deco_tensor::plancache;
-    plancache::set_thread_override(Some(true));
-    plancache::clear();
-    plancache::reset_stats();
-    let mut rng = Rng::new(160);
-    // 2·16·64·16 crosses the packed gate, so every dtype's repeated
-    // product consults the pack cache: miss then hit, tallied per dtype.
-    let a = Tensor::randn([16, 64], &mut rng);
-    let b = Tensor::randn([64, 16], &mut rng);
-    let mut ok = true;
-    for d in StorageDtype::ALL {
-        let s = StoredTensor::encode(&b, d);
-        let first = a.matmul_stored(&s);
-        let second = a.matmul_stored(&s);
-        let stats = plancache::stats();
-        ok = ok
-            && first.data() == second.data()
-            && stats.pack_misses_for(d) >= 1
-            && stats.pack_hits_for(d) >= 1;
-    }
-    // The per-dtype split partitions the totals.
-    let stats = plancache::stats();
-    let hits: u64 = StorageDtype::ALL
-        .iter()
-        .map(|&d| stats.pack_hits_for(d))
-        .sum();
-    let misses: u64 = StorageDtype::ALL
-        .iter()
-        .map(|&d| stats.pack_misses_for(d))
-        .sum();
-    ok = ok && hits == stats.pack_hits && misses == stats.pack_misses;
-    plancache::clear();
-    plancache::reset_stats();
-    plancache::set_thread_override(None);
-    if ok {
-        0.0
-    } else {
-        1.0
-    }
-}
-
-fn check_buffer_identity() -> f32 {
-    // Clones share the storage id; independent allocations do not.
-    let a = Tensor::from_vec(vec![1.0, 2.0], [2]);
-    let b = a.clone();
-    let c = Tensor::from_vec(vec![1.0, 2.0], [2]);
-    let shared = a.buffer_id() == b.buffer_id() && a.buffer_id() != c.buffer_id();
-    // Mutating a shared buffer copies-on-write under a fresh id (or a
-    // bumped version), and the original stays untouched.
-    let v0 = a.buffer_version();
-    let mut d = a.clone();
-    d.data_mut()[0] = 5.0;
-    let diverged =
-        a.data()[0] == 1.0 && (d.buffer_id() != a.buffer_id() || d.buffer_version() > v0);
-    // Mutating an unshared buffer bumps the version in place, which is
-    // exactly what invalidates stale plan-cache entries.
-    let mut e = Tensor::from_vec(vec![3.0], [1]);
-    let (eid, ev) = (e.buffer_id(), e.buffer_version());
-    e.data_mut()[0] = 4.0;
-    let bumped = e.buffer_id() == eid && e.buffer_version() > ev;
-    if shared && diverged && bumped {
         0.0
     } else {
         1.0
@@ -1908,12 +1709,8 @@ mod tests {
             "{layers:?}"
         );
         assert!(layers.contains(&"dropout::Dropout".to_string()));
-        let plan = parsed_plancache_surface();
-        assert!(
-            plan.contains(&"plancache::with_tape_arena".to_string()),
-            "{plan:?}"
-        );
-        assert!(plan.contains(&"plancache::clear".to_string()));
+        let dtype = parsed_dtype_surface();
+        assert!(dtype.contains(&"dtype::encode".to_string()), "{dtype:?}");
     }
 
     #[test]

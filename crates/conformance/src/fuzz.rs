@@ -146,7 +146,7 @@ pub fn run_differential(cases: usize, seed: u64) -> DiffReport {
             fuzz_cosine_distance(cases, seed ^ 0x08),
             fuzz_im2col_vs_direct(cases, seed ^ 0x09),
             fuzz_gemm_blocked_vs_naive(cases, seed ^ 0x0A),
-            fuzz_matcher_plan_cache(cases, seed ^ 0x0B),
+            fuzz_matcher_kept_columns(cases, seed ^ 0x0B),
             fuzz_matcher_storage_dtype(cases, seed ^ 0x0C),
             fuzz_gemm_simd_vs_scalar(cases, seed ^ 0x0D),
             fuzz_fused_group_norm_relu(cases, seed ^ 0x0E),
@@ -500,25 +500,26 @@ fn fuzz_gemm_simd_vs_scalar(cases: usize, seed: u64) -> KernelReport {
     tr.finish()
 }
 
-/// Differential case for the condense-step plan cache: `one_step_match`
-/// with the plan cache enabled vs disabled (the `DECO_PLAN_CACHE=0` path,
-/// forced per-thread via [`deco_tensor::plancache::set_thread_override`])
-/// over randomized network geometries, batch shapes and augmentations.
-/// Cached im2col slabs and weight packs are value-preserving lowerings,
-/// so the two runs are held to **bitwise** equality; the deviation
-/// channel reports any numeric gap between them directly (expected 0).
-/// The cache-on case additionally runs under both thread counts.
+/// Differential case for im2col columns kept with their buffer:
+/// `one_step_match` over synthetic images whose buffer already holds
+/// columns from an earlier step and was then updated in place (as an
+/// image update does), vs the same step over a fresh copy of the
+/// updated images, over randomized network geometries, batch shapes and
+/// augmentations. Kept columns are value-preserving lowerings and an
+/// in-place write drops them, so the two runs are held to **bitwise**
+/// equality; the deviation channel reports any numeric gap between them
+/// directly (expected 0). The kept-buffer case additionally runs under
+/// both thread counts.
 ///
 /// The step perturbs and restores `θ` in floating point, which is not
 /// bit-exact, so every run rebuilds the net from the same parameter
 /// snapshot instead of reusing one net across runs.
-fn fuzz_matcher_plan_cache(cases: usize, seed: u64) -> KernelReport {
+fn fuzz_matcher_kept_columns(cases: usize, seed: u64) -> KernelReport {
     use deco_condense::{one_step_match, Augmentation, MatchBatch};
     use deco_nn::{ConvNet, ConvNetConfig};
-    use deco_tensor::plancache;
 
     let mut rng = Rng::new(seed);
-    let mut tr = Tracker::new("matcher_plan_cache");
+    let mut tr = Tracker::new("matcher_kept_columns");
     for i in 0..cases {
         // (side, depth, width, cin): degenerate nets first (direct conv
         // path, below the im2col gate), then geometries that cross it.
@@ -544,7 +545,7 @@ fn fuzz_matcher_plan_cache(cases: usize, seed: u64) -> KernelReport {
         let params = ConvNet::new(config, &mut rng).get_params();
         let n_syn = rng.below(3) + 1;
         let n_real = rng.below(4) + 1;
-        let syn = Tensor::from_vec(
+        let mut syn = Tensor::from_vec(
             randn_vec(n_syn * cin * side * side, &mut rng),
             [n_syn, cin, side, side],
         );
@@ -564,30 +565,33 @@ fn fuzz_matcher_plan_cache(cases: usize, seed: u64) -> KernelReport {
         } else {
             None
         };
-        let batch = MatchBatch {
-            syn_images: &syn,
-            syn_labels: &syn_labels,
-            real_images: &real,
-            real_labels: &real_labels,
-            real_weights: weights.as_deref(),
-        };
-        let run = |cache_on: bool| {
-            plancache::set_thread_override(Some(cache_on));
+        let run = |syn: &Tensor| {
+            let batch = MatchBatch {
+                syn_images: syn,
+                syn_labels: &syn_labels,
+                real_images: &real,
+                real_labels: &real_labels,
+                real_weights: weights.as_deref(),
+            };
             let net = ConvNet::from_params(config, &params);
             let r = one_step_match(&net, &batch, aug.as_ref(), 0.01);
-            plancache::set_thread_override(None);
-            (r.distance, r.image_grad.data().to_vec())
+            (r.distance, r.image_grad)
         };
-        let (d_on, g_on) = deco_runtime::with_thread_count(1, || run(true));
-        let (d_on4, g_on4) = deco_runtime::with_thread_count(4, || run(true));
-        let (d_off, g_off) = deco_runtime::with_thread_count(1, || run(false));
+        // Warm the buffer's columns, then update it in place.
+        let (_, grad) = deco_runtime::with_thread_count(1, || run(&syn));
+        syn.add_scaled(&grad, -0.5);
+        let fresh = Tensor::from_vec(syn.data().to_vec(), syn.shape().clone());
+        let (d_on, g_on) = deco_runtime::with_thread_count(1, || run(&syn));
+        let (d_on4, g_on4) = deco_runtime::with_thread_count(4, || run(&syn));
+        let (d_off, g_off) = deco_runtime::with_thread_count(1, || run(&fresh));
+        let (g_on, g_on4, g_off) = (g_on.data(), g_on4.data(), g_off.data());
         let ok = d_on.to_bits() == d_off.to_bits()
             && d_on.to_bits() == d_on4.to_bits()
-            && bits_equal(&g_on, &g_off)
-            && bits_equal(&g_on, &g_on4);
+            && bits_equal(g_on, g_off)
+            && bits_equal(g_on, g_on4);
         let g_off64: Vec<f64> = g_off.iter().map(|&v| v as f64).collect();
         let dev = reference::rel_deviation(d_on, d_off as f64)
-            .max(reference::max_rel_deviation(&g_on, &g_off64));
+            .max(reference::max_rel_deviation(g_on, &g_off64));
         let aug_tag = match &aug {
             None => "none",
             Some(Augmentation::Identity) => "id",
@@ -920,33 +924,33 @@ fn fuzz_cosine_distance(cases: usize, seed: u64) -> KernelReport {
     tr.finish()
 }
 
-/// Runs `f` under every (fusion, thread-count) combination — fused and
-/// unfused, each at both [`THREAD_COUNTS`] — and returns the fused
+/// Runs the fused graph `fused` and its unfused reference graph
+/// `reference` at both [`THREAD_COUNTS`] and returns the fused
 /// 1-thread result plus whether **all four** runs agreed bitwise. This
-/// is the fusion layer's contract: `DECO_FUSION` must never change a
-/// single output bit, only how the graph is executed.
-fn run_fusion_modes<R>(f: impl Fn() -> R, data: impl Fn(&R) -> Vec<f32>) -> (R, bool) {
-    use deco_tensor::fusion;
-    let run_at = |fused: bool, threads: usize| {
-        fusion::set_thread_override(Some(fused));
-        let r = deco_runtime::with_thread_count(threads, &f);
-        fusion::set_thread_override(None);
-        r
-    };
-    let fused_one = run_at(true, 1);
+/// is the fusion layer's contract: a fused op must reproduce every
+/// output bit of the unfused graph it replaces, at any thread count.
+fn run_against_reference<R>(
+    fused: impl Fn() -> R,
+    reference: impl Fn() -> R,
+    data: impl Fn(&R) -> Vec<f32>,
+) -> (R, bool) {
+    let fused_one = deco_runtime::with_thread_count(1, &fused);
     let base = data(&fused_one);
     let mut ok = true;
-    for (fused, threads) in [(true, 4), (false, 1), (false, 4)] {
-        let r = run_at(fused, threads);
-        ok &= bits_equal(&base, &data(&r));
+    for threads in THREAD_COUNTS {
+        ok &= bits_equal(
+            &base,
+            &data(&deco_runtime::with_thread_count(threads, &reference)),
+        );
     }
+    ok &= bits_equal(&base, &data(&deco_runtime::with_thread_count(4, &fused)));
     (fused_one, ok)
 }
 
 /// Differential case for the fused `group_norm → relu` tape op: forward
-/// value and input/affine gradients must be bitwise identical across
-/// fused/unfused × 1/4 threads, and the forward must track the `f64`
-/// group-norm reference (with relu applied) within tolerance.
+/// value and input/affine gradients must be bitwise identical to the
+/// unfused reference graph × 1/4 threads, and the forward must track
+/// the `f64` group-norm reference (with relu applied) within tolerance.
 fn fuzz_fused_group_norm_relu(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("fused_group_norm_relu");
@@ -969,20 +973,26 @@ fn fuzz_fused_group_norm_relu(cases: usize, seed: u64) -> KernelReport {
         let xt = Tensor::from_vec(x.clone(), [n, c, side, side]);
         let gt = Tensor::from_vec(gamma.clone(), [1, c, 1, 1]);
         let bt = Tensor::from_vec(beta.clone(), [1, c, 1, 1]);
-        let (out, ok) = run_fusion_modes(
-            || {
-                let xl = Var::leaf(xt.clone(), true);
-                let gl = Var::leaf(gt.clone(), true);
-                let bl = Var::leaf(bt.clone(), true);
-                let y = xl.group_norm_relu(&gl, &bl, groups, 1e-5);
-                y.sum().backward();
-                (
-                    y.value().clone(),
-                    xl.grad().expect("x grad"),
-                    gl.grad().expect("gamma grad"),
-                    bl.grad().expect("beta grad"),
-                )
-            },
+        let run = |fused: bool| {
+            let xl = Var::leaf(xt.clone(), true);
+            let gl = Var::leaf(gt.clone(), true);
+            let bl = Var::leaf(bt.clone(), true);
+            let y = if fused {
+                xl.group_norm_relu(&gl, &bl, groups, 1e-5)
+            } else {
+                crate::unfused::group_norm_relu(&xl, &gl, &bl, groups, 1e-5)
+            };
+            y.sum().backward();
+            (
+                y.value().clone(),
+                xl.grad().expect("x grad"),
+                gl.grad().expect("gamma grad"),
+                bl.grad().expect("beta grad"),
+            )
+        };
+        let (out, ok) = run_against_reference(
+            || run(true),
+            || run(false),
             |(y, gx, gg, gb)| {
                 let mut v = y.data().to_vec();
                 v.extend_from_slice(gx.data());
@@ -1003,8 +1013,9 @@ fn fuzz_fused_group_norm_relu(cases: usize, seed: u64) -> KernelReport {
 }
 
 /// Differential case for the fused `relu → avg_pool2d` tape op:
-/// forward and the masked pooled-gradient backward, bitwise across
-/// fused/unfused × 1/4 threads, forward against the `f64` reference.
+/// forward and the masked pooled-gradient backward, bitwise against
+/// `relu → avg_pool2d` × 1/4 threads, forward against the `f64`
+/// reference.
 fn fuzz_fused_relu_avg_pool(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("fused_relu_avg_pool2d");
@@ -1023,13 +1034,19 @@ fn fuzz_fused_relu_avg_pool(cases: usize, seed: u64) -> KernelReport {
         let (h, w) = (k * tiles, k * tiles);
         let x = randn_vec(n * c * h * w, &mut rng);
         let xt = Tensor::from_vec(x.clone(), [n, c, h, w]);
-        let (out, ok) = run_fusion_modes(
-            || {
-                let xl = Var::leaf(xt.clone(), true);
-                let y = xl.relu_avg_pool2d(k);
-                y.sum().backward();
-                (y.value().clone(), xl.grad().expect("x grad"))
-            },
+        let run = |fused: bool| {
+            let xl = Var::leaf(xt.clone(), true);
+            let y = if fused {
+                xl.relu_avg_pool2d(k)
+            } else {
+                xl.relu().avg_pool2d(k)
+            };
+            y.sum().backward();
+            (y.value().clone(), xl.grad().expect("x grad"))
+        };
+        let (out, ok) = run_against_reference(
+            || run(true),
+            || run(false),
             |(y, gx)| {
                 let mut v = y.data().to_vec();
                 v.extend_from_slice(gx.data());
@@ -1047,8 +1064,8 @@ fn fuzz_fused_relu_avg_pool(cases: usize, seed: u64) -> KernelReport {
 }
 
 /// Differential case for the fused `log_softmax → nll` loss: loss value
-/// and logit gradient, bitwise across fused/unfused × 1/4 threads,
-/// against the `f64` softmax-cross-entropy reference.
+/// and logit gradient, bitwise against `log_softmax → nll` × 1/4
+/// threads, against the `f64` softmax-cross-entropy reference.
 fn fuzz_fused_softmax_ce(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("fused_softmax_ce");
@@ -1073,13 +1090,20 @@ fn fuzz_fused_softmax_ce(cases: usize, seed: u64) -> KernelReport {
             Reduction::Sum
         };
         let lt = Tensor::from_vec(logits.clone(), [n, c]);
-        let (out, ok) = run_fusion_modes(
-            || {
-                let leaf = Var::leaf(lt.clone(), true);
-                let loss = leaf.log_softmax_cross_entropy(&labels, weights.as_deref(), reduction);
-                loss.backward();
-                (loss.value().item(), leaf.grad().expect("logit grad"))
-            },
+        let run = |fused: bool| {
+            let leaf = Var::leaf(lt.clone(), true);
+            let loss = if fused {
+                leaf.log_softmax_cross_entropy(&labels, weights.as_deref(), reduction)
+            } else {
+                leaf.log_softmax()
+                    .nll(&labels, weights.as_deref(), reduction)
+            };
+            loss.backward();
+            (loss.value().item(), leaf.grad().expect("logit grad"))
+        };
+        let (out, ok) = run_against_reference(
+            || run(true),
+            || run(false),
             |(loss, grad)| {
                 let mut v = vec![*loss];
                 v.extend_from_slice(grad.data());
@@ -1096,10 +1120,10 @@ fn fuzz_fused_softmax_ce(cases: usize, seed: u64) -> KernelReport {
 }
 
 /// Differential case for the conv bias epilogue: `conv2d` with bias
-/// folded into the GEMM writeback (fused) vs materialized and added as
-/// a separate tape op (unfused), forward plus all three gradients,
-/// bitwise across fused/unfused × 1/4 threads, forward against the
-/// `f64` reference.
+/// folded into the GEMM writeback vs a bias-free conv plus a separate
+/// broadcast bias add (bitwise equal because a GEMM output is never
+/// `-0.0`), forward plus all three gradients, bitwise × 1/4 threads,
+/// forward against the `f64` reference.
 fn fuzz_conv_bias_epilogue(cases: usize, seed: u64) -> KernelReport {
     let mut rng = Rng::new(seed);
     let mut tr = Tracker::new("conv_bias_epilogue");
@@ -1132,20 +1156,26 @@ fn fuzz_conv_bias_epilogue(cases: usize, seed: u64) -> KernelReport {
         let xt = Tensor::from_vec(x.clone(), [n, cin, side, side]);
         let wt = Tensor::from_vec(wgt.clone(), [cout, cin, k, k]);
         let bt = Tensor::from_vec(bias.clone(), [cout]);
-        let (out, ok) = run_fusion_modes(
-            || {
-                let xl = Var::leaf(xt.clone(), true);
-                let wl = Var::leaf(wt.clone(), true);
-                let bl = Var::leaf(bt.clone(), true);
-                let y = xl.conv2d(&wl, Some(&bl), spec);
-                y.sum().backward();
-                (
-                    y.value().clone(),
-                    xl.grad().expect("x grad"),
-                    wl.grad().expect("w grad"),
-                    bl.grad().expect("bias grad"),
-                )
-            },
+        let run = |fused: bool| {
+            let xl = Var::leaf(xt.clone(), true);
+            let wl = Var::leaf(wt.clone(), true);
+            let bl = Var::leaf(bt.clone(), true);
+            let y = if fused {
+                xl.conv2d(&wl, Some(&bl), spec)
+            } else {
+                xl.conv2d(&wl, None, spec).add(&bl.reshape([1, cout, 1, 1]))
+            };
+            y.sum().backward();
+            (
+                y.value().clone(),
+                xl.grad().expect("x grad"),
+                wl.grad().expect("w grad"),
+                bl.grad().expect("bias grad"),
+            )
+        };
+        let (out, ok) = run_against_reference(
+            || run(true),
+            || run(false),
             |(y, gx, gw, gb)| {
                 let mut v = y.data().to_vec();
                 v.extend_from_slice(gx.data());
@@ -1156,7 +1186,11 @@ fn fuzz_conv_bias_epilogue(cases: usize, seed: u64) -> KernelReport {
         );
         let r = reference::conv2d(&x, (n, cin, side, side), &wgt, cout, Some(&bias), spec);
         let dev = reference::max_rel_deviation(out.0.data(), &r);
-        tr.record(dev, ok, &format!("n{n} {cin}->{cout} {side}x{side} k{k}s{s}p{p}"));
+        tr.record(
+            dev,
+            ok,
+            &format!("n{n} {cin}->{cout} {side}x{side} k{k}s{s}p{p}"),
+        );
     }
     tr.finish()
 }

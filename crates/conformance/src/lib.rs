@@ -10,7 +10,8 @@
 //!    implementations of every performance-sensitive kernel, plus a seeded
 //!    differential fuzzer that cross-checks them against the optimized
 //!    `deco-tensor`/`deco-nn` paths over randomized (including degenerate)
-//!    shapes at `DECO_THREADS ∈ {1, 4}`.
+//!    shapes at `DECO_THREADS ∈ {1, 4}`. The fused ConvNet ops are also
+//!    held bit for bit to the [`unfused`] reference graphs they replace.
 //! 2. [`audit`] — a full-graph gradient audit: every public op in
 //!    `crates/tensor/src/ops/` and every layer in `crates/nn/src/layers.rs`
 //!    is finite-difference-checked, adjoint-checked, or explicitly exempted
@@ -32,3 +33,4 @@ pub mod audit;
 pub mod fuzz;
 pub mod golden;
 pub mod reference;
+pub mod unfused;

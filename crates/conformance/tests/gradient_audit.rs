@@ -7,8 +7,7 @@
 use std::collections::BTreeSet;
 
 use deco_conformance::audit::{
-    entries, parsed_dtype_surface, parsed_layer_surface, parsed_op_surface,
-    parsed_plancache_surface, run_audit,
+    entries, parsed_dtype_surface, parsed_layer_surface, parsed_op_surface, run_audit,
 };
 
 #[test]
@@ -28,7 +27,6 @@ fn every_public_op_and_layer_is_audited() {
     for name in parsed_op_surface()
         .into_iter()
         .chain(parsed_layer_surface())
-        .chain(parsed_plancache_surface())
         .chain(parsed_dtype_surface())
     {
         if !audited.contains(&name) {
@@ -45,13 +43,12 @@ fn every_public_op_and_layer_is_audited() {
 
 #[test]
 fn no_stale_audit_entries() {
-    // Entries in the op/layer/plancache namespaces must correspond to
+    // Entries in the op/layer/dtype namespaces must correspond to
     // real public functions; matcher::/tensor::-style entries audit
     // surfaces without a parsed namespace and are allowed extra.
     let surface: BTreeSet<String> = parsed_op_surface()
         .into_iter()
         .chain(parsed_layer_surface())
-        .chain(parsed_plancache_surface())
         .chain(parsed_dtype_surface())
         .collect();
     let op_namespaces = [
@@ -63,7 +60,6 @@ fn no_stale_audit_entries() {
         "transform",
         "layers",
         "dropout",
-        "plancache",
         "dtype",
     ];
     let mut stale = Vec::new();

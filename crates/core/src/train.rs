@@ -130,6 +130,42 @@ mod tests {
     }
 
     #[test]
+    fn training_over_fresh_batches_returns_every_buffer_to_the_pool() {
+        // A batch keeps its im2col columns only as long as the batch
+        // itself lives. Once warm, a step over a fresh batch is served
+        // entirely from the pool, and the pool's held bytes do not grow
+        // by anything near one batch's columns over many steps.
+        deco_runtime::with_thread_count(1, || {
+            let mut rng = Rng::new(4);
+            let net = tiny_net(&mut rng);
+            let mut opt = Sgd::new(0.05).with_momentum(0.9);
+            let labels: Vec<usize> = (0..14).map(|i| i % 2).collect();
+            let mut step = |rng: &mut Rng| {
+                let images = Tensor::randn([14, 1, 8, 8], rng);
+                train_classifier(&net, &images, &labels, None, 2, &mut opt);
+                deco_tensor::pool::stats()
+            };
+            for _ in 0..3 {
+                step(&mut rng);
+            }
+            let warm = step(&mut rng);
+            let mut now = warm;
+            for i in 0..10 {
+                now = step(&mut rng);
+                assert_eq!(now.misses, warm.misses, "step {i} missed the pool");
+            }
+            // First conv: 14 images × (1·3·3 taps × 8·8 positions) f32.
+            let cols_bytes = 14 * 9 * 64 * 4;
+            assert!(
+                now.held_bytes < warm.held_bytes + cols_bytes,
+                "pool grew from {} to {} bytes",
+                warm.held_bytes,
+                now.held_bytes
+            );
+        });
+    }
+
+    #[test]
     fn training_reaches_high_accuracy_on_separable_data() {
         let mut rng = Rng::new(1);
         let net = tiny_net(&mut rng);

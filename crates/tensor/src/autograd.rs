@@ -43,7 +43,7 @@ const NODE_FREE_CAP: usize = 8192;
 /// Upper bound on recycled (empty) parent vectors.
 const PARENT_FREE_CAP: usize = 8192;
 
-/// Per-thread tape arena. While a scope opened by [`with_arena_scope`]
+/// Per-thread tape arena. While a scope opened by [`with_tape_arena`]
 /// is active, every node built on this thread is also registered here;
 /// when the scope ends, registered nodes whose last external handle has
 /// dropped are *reset* (value hollowed, grad cleared, parents detached,
@@ -80,10 +80,11 @@ impl ArenaState {
     }
 }
 
-/// Runs `f` with the node arena active on this thread. See
-/// [`crate::plancache::with_tape_arena`] for the public entry point
-/// (which also applies the `DECO_PLAN_CACHE` kill switch).
-pub(crate) fn with_arena_scope<R>(f: impl FnOnce() -> R) -> R {
+/// Runs `f` inside an autograd node-arena scope: tape nodes built
+/// during `f` whose handles are dropped by the time the scope ends are
+/// reset and recycled for the next scope on this thread instead of
+/// round-tripping the global allocator. Scopes nest.
+pub fn with_tape_arena<R>(f: impl FnOnce() -> R) -> R {
     // Scope end must run even if `f` panics, or the registry would pin
     // nodes (and their tensors) for the life of the thread.
     struct Guard;
@@ -101,8 +102,10 @@ pub(crate) fn with_arena_scope<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Peak registered-node count across all arena scopes on this thread.
-pub(crate) fn arena_node_high_water() -> u64 {
+/// High-water mark of live arena-scope nodes on this thread (a proxy
+/// for the largest tape a single scope built). Mirrored to the
+/// `tensor.tape.arena_node_high_water` telemetry gauge.
+pub fn arena_node_high_water() -> u64 {
     ARENA.try_with(|a| a.borrow().high_water).unwrap_or(0)
 }
 
@@ -637,9 +640,11 @@ impl Var {
             value,
             &[self],
             Box::new(move |g| {
-                grads![Some(
-                    g.zip_broadcast(&v, |gi, xi| if xi > 0.0 { gi } else { 0.0 }),
-                )]
+                grads![Some(g.zip_broadcast(&v, |gi, xi| if xi > 0.0 {
+                    gi
+                } else {
+                    0.0
+                }),)]
             }),
         )
     }
@@ -906,10 +911,9 @@ impl Var {
             &[self],
             Box::new(move |g| {
                 // Broadcast the reduced gradient back over the summed axes.
-                grads![Some(g.zip_broadcast(
-                    &Tensor::zeros(shape.clone()),
-                    |a, _| a,
-                ))]
+                grads![Some(
+                    g.zip_broadcast(&Tensor::zeros(shape.clone()), |a, _| a,)
+                )]
             }),
         )
     }
@@ -1064,13 +1068,11 @@ impl Var {
 
     // ---- fused ConvNet-block ops (bitwise-preserving) ----
     //
-    // Each op below runs the fused single-node kernel from
-    // `crate::ops::fused` when `crate::fusion::enabled()`, and otherwise
-    // falls back to the exact unfused tape-op chain it replaces. The
-    // fused kernels replicate the unfused graph's per-element f32
-    // operation and accumulation order, so both paths produce identical
-    // bits — `DECO_FUSION` only changes how many tape nodes and
-    // intermediate tensors exist.
+    // Each op below runs a fused single-node kernel from
+    // `crate::ops::fused` that replicates the per-element f32 operation
+    // and accumulation order of the unfused tape-op chain it replaces,
+    // so it produces the chain's exact bits with fewer tape nodes and
+    // intermediate tensors. The tests hold each op to that chain.
 
     /// Fused group normalization (over `groups` channel groups, epsilon
     /// `eps`) with `[1, c, 1, 1]` affine parameters, followed by relu.
@@ -1084,17 +1086,6 @@ impl Var {
     /// Panics unless `self` is `[n, c, h, w]` with `c % groups == 0` and
     /// `gamma`/`beta` have `c` elements.
     pub fn group_norm_relu(&self, gamma: &Var, beta: &Var, groups: usize, eps: f32) -> Var {
-        if !crate::fusion::enabled() {
-            let (n, c) = (self.shape().dim(0), self.shape().dim(1));
-            let (h, w) = (self.shape().dim(2), self.shape().dim(3));
-            let grouped = self.reshape([n, groups, (c / groups) * h * w]);
-            let mean = grouped.mean_axes_keepdim(&[2]);
-            let centered = grouped.sub(&mean);
-            let var = centered.square().mean_axes_keepdim(&[2]);
-            let std = var.add_scalar(eps).sqrt();
-            let normed = centered.div(&std).reshape([n, c, h, w]);
-            return normed.mul(gamma).add(beta).relu();
-        }
         crate::fusion::count_group_norm_relu();
         let (out, mean, std) = crate::ops::fused::group_norm_relu_fwd(
             self.value(),
@@ -1130,9 +1121,6 @@ impl Var {
     /// intermediate is never materialized and the backward collapses the
     /// pool-scatter and relu-mask passes into one kernel.
     pub fn relu_avg_pool2d(&self, k: usize) -> Var {
-        if !crate::fusion::enabled() {
-            return self.relu().avg_pool2d(k);
-        }
         crate::fusion::count_relu_avg_pool2d();
         let value = crate::ops::fused::relu_avg_pool2d_fwd(self.value(), k);
         let x = self.value().clone();
@@ -1162,9 +1150,6 @@ impl Var {
         weights: Option<&[f32]>,
         reduction: Reduction,
     ) -> Var {
-        if !crate::fusion::enabled() {
-            return self.log_softmax().nll(labels, weights, reduction);
-        }
         crate::fusion::count_log_softmax_ce();
         assert_eq!(self.shape().rank(), 2, "cross-entropy needs [n, classes]");
         let n = self.shape().dim(0);
@@ -1219,27 +1204,44 @@ mod tests {
         }
     }
 
-    /// Runs `build` under both fusion modes and asserts the forward
-    /// value and every leaf gradient are bitwise identical.
-    fn assert_fusion_invariant(leaves: &[Tensor], build: impl Fn(&[Var]) -> Var) {
-        let run = |fused: bool| {
-            crate::fusion::set_thread_override(Some(fused));
+    /// Builds `fused` and the unfused reference graph `reference` over
+    /// the same leaves and asserts the forward value and every leaf
+    /// gradient are bitwise identical.
+    fn assert_matches_reference(
+        leaves: &[Tensor],
+        fused: impl Fn(&[Var]) -> Var,
+        reference: impl Fn(&[Var]) -> Var,
+    ) {
+        let run = |build: &dyn Fn(&[Var]) -> Var| {
             let vars: Vec<Var> = leaves.iter().map(|t| Var::leaf(t.clone(), true)).collect();
             let loss = build(&vars);
             loss.backward();
-            crate::fusion::set_thread_override(None);
             let grads: Vec<Tensor> = vars
                 .iter()
                 .map(|v| v.grad().expect("leaf gradient"))
                 .collect();
             (loss.value().clone(), grads)
         };
-        let (v_fused, g_fused) = run(true);
-        let (v_unfused, g_unfused) = run(false);
-        assert_bits_eq(&v_fused, &v_unfused, "forward value");
-        for (i, (a, b)) in g_fused.iter().zip(&g_unfused).enumerate() {
+        let (v_fused, g_fused) = run(&fused);
+        let (v_ref, g_ref) = run(&reference);
+        assert_bits_eq(&v_fused, &v_ref, "forward value");
+        for (i, (a, b)) in g_fused.iter().zip(&g_ref).enumerate() {
             assert_bits_eq(a, b, &format!("gradient of leaf {i}"));
         }
+    }
+
+    /// The unfused `group_norm → affine → relu` chain `group_norm_relu`
+    /// replaces.
+    fn group_norm_relu_reference(x: &Var, gamma: &Var, beta: &Var, groups: usize) -> Var {
+        let (n, c) = (x.shape().dim(0), x.shape().dim(1));
+        let (h, w) = (x.shape().dim(2), x.shape().dim(3));
+        let grouped = x.reshape([n, groups, (c / groups) * h * w]);
+        let mean = grouped.mean_axes_keepdim(&[2]);
+        let centered = grouped.sub(&mean);
+        let var = centered.square().mean_axes_keepdim(&[2]);
+        let std = var.add_scalar(1e-5).sqrt();
+        let normed = centered.div(&std).reshape([n, c, h, w]);
+        normed.mul(gamma).add(beta).relu()
     }
 
     #[test]
@@ -1249,11 +1251,19 @@ mod tests {
             let x = Tensor::randn([2, 4, 3, 3], &mut rng);
             let gamma = Tensor::rand_uniform([1, 4, 1, 1], 0.5, 1.5, &mut rng);
             let beta = Tensor::randn([1, 4, 1, 1], &mut rng);
-            assert_fusion_invariant(&[x, gamma, beta], |v| {
-                v[0].group_norm_relu(&v[1], &v[2], groups, 1e-5)
-                    .square()
-                    .sum()
-            });
+            assert_matches_reference(
+                &[x, gamma, beta],
+                |v| {
+                    v[0].group_norm_relu(&v[1], &v[2], groups, 1e-5)
+                        .square()
+                        .sum()
+                },
+                |v| {
+                    group_norm_relu_reference(&v[0], &v[1], &v[2], groups)
+                        .square()
+                        .sum()
+                },
+            );
         }
     }
 
@@ -1262,7 +1272,11 @@ mod tests {
         let mut rng = Rng::new(91);
         for (side, k) in [(4usize, 2usize), (6, 3), (6, 2)] {
             let x = Tensor::randn([2, 3, side, side], &mut rng);
-            assert_fusion_invariant(&[x], |v| v[0].relu_avg_pool2d(k).square().sum());
+            assert_matches_reference(
+                &[x],
+                |v| v[0].relu_avg_pool2d(k).square().sum(),
+                |v| v[0].relu().avg_pool2d(k).square().sum(),
+            );
         }
     }
 
@@ -1273,16 +1287,19 @@ mod tests {
         for reduction in [Reduction::Sum, Reduction::Mean] {
             for weights in [None, Some([0.5f32, 2.0, 0.0, 1.0])] {
                 let x = Tensor::randn([4, 5], &mut rng);
-                assert_fusion_invariant(&[x], |v| {
-                    v[0].log_softmax_cross_entropy(&labels, weights.as_ref().map(|w| &w[..]), reduction)
-                });
+                let weights = weights.as_ref().map(|w| &w[..]);
+                assert_matches_reference(
+                    &[x],
+                    |v| v[0].log_softmax_cross_entropy(&labels, weights, reduction),
+                    |v| v[0].log_softmax().nll(&labels, weights, reduction),
+                );
             }
         }
     }
 
     #[test]
     fn fused_block_chain_matches_unfused_bitwise() {
-        // conv-bias epilogue + group_norm_relu + pool + fused CE in one
+        // group_norm_relu + pool + fused CE behind a biased conv in one
         // graph, with gradients flowing to images and all parameters.
         let mut rng = Rng::new(93);
         let x = Tensor::randn([2, 2, 8, 8], &mut rng);
@@ -1291,14 +1308,28 @@ mod tests {
         let gamma = Tensor::rand_uniform([1, 4, 1, 1], 0.5, 1.5, &mut rng);
         let beta = Tensor::randn([1, 4, 1, 1], &mut rng);
         let labels = [1usize, 0];
-        assert_fusion_invariant(&[x, w, b, gamma, beta], |v| {
-            let h = v[0].conv2d(&v[1], Some(&v[2]), Conv2dSpec::new(3, 1, 1));
-            let h = h.group_norm_relu(&v[3], &v[4], 4, 1e-5).avg_pool2d(2);
+        let head = |h: Var, fused: bool| {
             let n = h.shape().dim(0);
             let flat: usize = h.shape().dims()[1..].iter().product();
-            h.reshape([n, flat])
-                .log_softmax_cross_entropy(&labels, None, Reduction::Sum)
-        });
+            let logits = h.reshape([n, flat]);
+            if fused {
+                logits.log_softmax_cross_entropy(&labels, None, Reduction::Sum)
+            } else {
+                logits.log_softmax().nll(&labels, None, Reduction::Sum)
+            }
+        };
+        let conv = |v: &[Var]| v[0].conv2d(&v[1], Some(&v[2]), Conv2dSpec::new(3, 1, 1));
+        assert_matches_reference(
+            &[x, w, b, gamma, beta],
+            |v| {
+                let h = conv(v).group_norm_relu(&v[3], &v[4], 4, 1e-5);
+                head(h.avg_pool2d(2), true)
+            },
+            |v| {
+                let h = group_norm_relu_reference(&conv(v), &v[3], &v[4], 4);
+                head(h.avg_pool2d(2), false)
+            },
+        );
     }
 
     #[test]
@@ -1630,7 +1661,7 @@ mod tests {
             x.grad().unwrap()
         };
         for _ in 0..3 {
-            let g = with_arena_scope(|| {
+            let g = with_tape_arena(|| {
                 let x = Var::leaf(Tensor::from_vec(vec![1.0, 2.0], [2]), true);
                 x.mul(&x).sum().backward();
                 x.grad().unwrap()
@@ -1649,7 +1680,7 @@ mod tests {
     fn var_held_across_scope_end_stays_valid() {
         // Externally held nodes (e.g. Param-bound leaves) must survive
         // the end-of-scope reset untouched.
-        let x = with_arena_scope(|| Var::leaf(Tensor::from_vec(vec![7.0], [1]), true));
+        let x = with_tape_arena(|| Var::leaf(Tensor::from_vec(vec![7.0], [1]), true));
         assert_eq!(x.value().data(), &[7.0]);
     }
 
@@ -1658,7 +1689,7 @@ mod tests {
         // backward's visited set keys on node ids; a recycled node that
         // kept its old id would corrupt topological traversal.
         let ids = |()| {
-            with_arena_scope(|| {
+            with_tape_arena(|| {
                 let x = Var::leaf(Tensor::scalar(1.0), true);
                 let y = x.add_scalar(1.0);
                 (x.node.id, y.node.id)
@@ -1671,8 +1702,8 @@ mod tests {
 
     #[test]
     fn nested_arena_scopes_balance() {
-        let g = with_arena_scope(|| {
-            let inner = with_arena_scope(|| {
+        let g = with_tape_arena(|| {
+            let inner = with_tape_arena(|| {
                 let x = Var::leaf(Tensor::scalar(3.0), true);
                 x.square().backward();
                 x.grad().unwrap()

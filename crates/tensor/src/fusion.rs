@@ -1,29 +1,20 @@
-//! Kill switch and telemetry for the bitwise-preserving operator
-//! fusion layer.
+//! Telemetry for the bitwise-preserving operator fusion layer.
 //!
 //! The per-block hot path of the ConvNet (`conv → bias → group-norm →
-//! relu → avg-pool` and the final `log-softmax → nll`) can run either
-//! as the original chain of elementwise/reduction tape ops or through
+//! relu → avg-pool` and the final `log-softmax → nll`) runs through
 //! the fused kernels in [`crate::ops::fused`] plus the GEMM bias
 //! epilogue in `ops/gemm.rs`. The fused kernels replicate the exact
 //! per-element f32 operation and accumulation order of the unfused
-//! graph, so the two modes are **bitwise identical** — flipping the
-//! switch never changes a single output bit, only how many times the
-//! intermediates are materialized and traversed.
-//!
-//! Kill switch: `DECO_FUSION=0` disables fusion process-wide;
-//! [`set_thread_override`] flips the switch per thread so benchmarks,
-//! the conformance fuzzer, and the determinism suite can A/B both
-//! modes in one process (mirroring the `DECO_PLAN_CACHE` pattern).
-//! The switch must be read on the *calling* thread before any
-//! `deco-runtime` fan-out and captured as a plain bool — worker
-//! threads do not see the caller's thread-local override.
+//! graph, so they are **bitwise identical** to it; fusion only changes
+//! how many times the intermediates are materialized and traversed.
+//! Fusion is the only path: the unfused compositions survive as
+//! reference graphs in the tests and in `deco-conformance`, which hold
+//! the fused ops to them bit for bit.
 //!
 //! Always-on statistics are mirrored to the `tensor.fusion.*`
 //! telemetry series.
 
-use std::cell::{Cell, RefCell};
-use std::sync::OnceLock;
+use std::cell::RefCell;
 
 /// Always-on fusion statistics for the current thread.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -49,28 +40,12 @@ impl FusionStats {
 
 thread_local! {
     static STATS: RefCell<FusionStats> = RefCell::new(FusionStats::default());
-    static OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
-fn env_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("DECO_FUSION").map_or(true, |v| v != "0"))
-}
-
-/// Whether operator fusion is active on this thread: the thread
-/// override if set, else the `DECO_FUSION` environment default (on
-/// unless `=0`).
-pub fn enabled() -> bool {
-    OVERRIDE.with(Cell::get).unwrap_or_else(env_default)
-}
-
-/// Overrides the `DECO_FUSION` switch for the current thread:
-/// `Some(true)` forces fusion on, `Some(false)` off, `None` restores
-/// the environment default. Lets benchmarks and the conformance fuzzer
-/// A/B fused vs unfused in one process. Fused and unfused results are
-/// bitwise identical, so a mixed-mode process is always consistent.
-pub fn set_thread_override(on: Option<bool>) {
-    OVERRIDE.with(|o| o.set(on));
+/// Whether operator fusion is active: always. Kept as a constant for
+/// callers that record it in a host fingerprint.
+pub const fn enabled() -> bool {
+    true
 }
 
 /// Snapshot of this thread's fusion statistics.
@@ -113,17 +88,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn thread_override_wins_over_env_default() {
-        set_thread_override(Some(false));
-        assert!(!enabled());
-        set_thread_override(Some(true));
-        assert!(enabled());
-        set_thread_override(None);
-    }
-
-    #[test]
     fn stats_count_and_reset() {
-        set_thread_override(Some(true));
         reset_stats();
         count_group_norm_relu();
         count_relu_avg_pool2d();
@@ -139,6 +104,5 @@ mod tests {
         assert_eq!(s.fused_forward(), 4);
         reset_stats();
         assert_eq!(stats(), FusionStats::default());
-        set_thread_override(None);
     }
 }

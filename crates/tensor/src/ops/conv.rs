@@ -15,6 +15,13 @@
 //! * **direct** (tiny problems): the original 7-loop kernels, kept as
 //!   block kernels over flat block ranges.
 //!
+//! The im2col lowering of a convolution input is kept with the input's
+//! buffer ([`Tensor::kept_columns`]): the weight gradient of the
+//! backward pass, and any later convolution of the same bytes under the
+//! same geometry, reuse the forward's columns instead of lowering again.
+//! The columns hold exactly what a per-call lowering writes, so reuse
+//! never changes a bit.
+//!
 //! Serial execution runs one kernel call over the full range; large
 //! problems fan the same kernel out across the `deco-runtime` pool with
 //! shape-derived chunk boundaries. Per-image results are independent
@@ -23,10 +30,10 @@
 //! at any `DECO_THREADS`. All outputs and scratch come from the
 //! thread-local [`crate::pool`].
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use super::gemm::{self, MatRef};
-use crate::plancache;
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -118,6 +125,53 @@ fn im2col(
             }
         }
     }
+}
+
+/// The geometry a buffer's columns were lowered under:
+/// `(spec, c_in, h, w)`. The batch size follows from the buffer length.
+pub(crate) type ColsKey = (Conv2dSpec, usize, usize, usize);
+
+/// The full-batch `[n · c_in·k·k · oh·ow]` im2col columns of one
+/// convolution input, in pooled scratch that goes back to the pool when
+/// the last reference drops.
+pub(crate) struct Cols(Vec<f32>);
+
+impl Deref for Cols {
+    type Target = [f32];
+    fn deref(&self) -> &[f32] {
+        &self.0
+    }
+}
+
+impl Drop for Cols {
+    fn drop(&mut self) {
+        pool::give(std::mem::take(&mut self.0));
+    }
+}
+
+/// The full-batch columns of NCHW input `x` under `spec`, kept with
+/// `x`'s buffer (see [`Tensor::kept_columns`]). A lowering that is not
+/// already kept is built here, on the calling thread, before any
+/// fan-out.
+fn batch_columns(x: &Tensor, spec: Conv2dSpec) -> Arc<Cols> {
+    let (n, cin, h, w) = dims4(x);
+    let (oh, ow) = (spec.out_side(h), spec.out_side(w));
+    let img = cin * h * w;
+    let img_cols = cin * spec.kernel * spec.kernel * oh * ow;
+    x.kept_columns((spec, cin, h, w), || {
+        // Scratch: im2col writes every element of each image's block.
+        let mut cols = pool::take_scratch(n * img_cols);
+        for ni in 0..n {
+            im2col(
+                &mut cols[ni * img_cols..(ni + 1) * img_cols],
+                &x.data()[ni * img..(ni + 1) * img],
+                (cin, h, w),
+                (oh, ow),
+                spec,
+            );
+        }
+        Cols(cols)
+    })
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a `[c_in·k·k, oh·ow]` column
@@ -273,71 +327,22 @@ pub(crate) fn conv2d_impl(
     let mut out = pool::take(n * cout * ohw);
     if use_im2col(n * macs_per_image, ohw, ckk, force) {
         let _span = deco_telemetry::span!("tensor.gemm");
-        // Full-batch column slab via the plan cache: a hit skips the
-        // im2col lowering entirely. The slab holds exactly what the
-        // per-image path writes, and the consuming GEMMs see the same
-        // bytes either way, so results are bitwise identical. A miss is
-        // built here on the calling thread before fan-out.
-        let slab = plancache::im2col_slab(x_t, spec, (cin, h, w), n * ckk * ohw, |s| {
-            for ni in 0..n {
-                let x_img = &x_t.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-                im2col(
-                    &mut s[ni * ckk * ohw..(ni + 1) * ckk * ohw],
-                    x_img,
-                    (cin, h, w),
-                    (oh, ow),
-                    spec,
-                );
-            }
-        });
-        // Fusion gate, read on the calling thread *before* the fan-out
-        // (workers do not see this thread's override) and captured as a
-        // bool. The epilogue adds the bias per finalized GEMM tile with
-        // the same per-element op order as the separate pass below, so
-        // either setting produces identical bits.
-        let fuse_bias = b.is_some() && crate::fusion::enabled();
-        if fuse_bias {
+        let cols = batch_columns(x_t, spec);
+        if b.is_some() {
             crate::fusion::count_conv_bias_epilogue();
         }
         run_blocks(n, macs_per_image, cout * ohw, &mut out, move |imgs, dst| {
             let wv = MatRef::new(wt.data(), cout, ckk);
-            let mut scratch = if slab.is_none() {
-                Some(pool::take(ckk * ohw))
-            } else {
-                None
+            // The bias rides the GEMM writeback as an epilogue, with the
+            // per-element op order of a separate bias pass.
+            let epi = match &b {
+                Some(b) => gemm::Epilogue::Bias(b.data()),
+                None => gemm::Epilogue::None,
             };
             for (bi, ni) in imgs.enumerate() {
-                let cols: &[f32] = match (&slab, &mut scratch) {
-                    (Some(s), _) => &s[ni * ckk * ohw..(ni + 1) * ckk * ohw],
-                    (None, Some(c)) => {
-                        let x_img = &x.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-                        im2col(c, x_img, (cin, h, w), (oh, ow), spec);
-                        c
-                    }
-                    _ => unreachable!(),
-                };
+                let img_cols = MatRef::new(&cols[ni * ckk * ohw..(ni + 1) * ckk * ohw], ckk, ohw);
                 let dst_img = &mut dst[bi * cout * ohw..(bi + 1) * cout * ohw];
-                let cols_ref = MatRef::new(cols, ckk, ohw);
-                match (&b, fuse_bias) {
-                    (Some(b), true) => {
-                        gemm::gemm_into_epi(dst_img, &wv, &cols_ref, gemm::Epilogue::Bias(b.data()))
-                    }
-                    _ => {
-                        gemm::gemm_into(dst_img, &wv, &cols_ref);
-                        if let Some(b) = &b {
-                            for (co, &bv) in b.data().iter().enumerate() {
-                                if bv != 0.0 {
-                                    for o in &mut dst_img[co * ohw..(co + 1) * ohw] {
-                                        *o += bv;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(c) = scratch {
-                pool::give(c);
+                gemm::gemm_into_epi(dst_img, &wv, &img_cols, epi);
             }
         });
     } else {
@@ -462,47 +467,19 @@ pub(crate) fn conv2d_weight_grad_impl(
     let mut gw = pool::take(cout * ckk);
     if use_im2col(n * macs_per_image, ohw, ckk, force) {
         let _span = deco_telemetry::span!("tensor.gemm");
-        // Same cache key as the forward pass over this input, so the
-        // slab a forward built is reused here without re-lowering.
-        let slab = plancache::im2col_slab(input, spec, (cin, h, w), n * ckk * ohw, |s| {
-            for ni in 0..n {
-                let x_img = &input.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-                im2col(
-                    &mut s[ni * ckk * ohw..(ni + 1) * ckk * ohw],
-                    x_img,
-                    (cin, h, w),
-                    (oh, ow),
-                    spec,
-                );
-            }
-        });
+        // Usually the columns the forward over this input kept.
+        let cols = batch_columns(input, spec);
         // Accumulates `g_i × cols_iᵀ` over an image range into `dst`
         // (image order within the range).
         let kernel_fn = move |imgs: Range<usize>, dst: &mut [f32]| {
-            let mut scratch = if slab.is_none() {
-                Some(pool::take(ckk * ohw))
-            } else {
-                None
-            };
             for ni in imgs {
-                let cols: &[f32] = match (&slab, &mut scratch) {
-                    (Some(s), _) => &s[ni * ckk * ohw..(ni + 1) * ckk * ohw],
-                    (None, Some(c)) => {
-                        let x_img = &x.data()[ni * cin * h * w..(ni + 1) * cin * h * w];
-                        im2col(c, x_img, (cin, h, w), (oh, ow), spec);
-                        c
-                    }
-                    _ => unreachable!(),
-                };
+                let img_cols = &cols[ni * ckk * ohw..(ni + 1) * ckk * ohw];
                 let g_img = &g.data()[ni * cout * ohw..(ni + 1) * cout * ohw];
                 gemm::gemm_into(
                     dst,
                     &MatRef::new(g_img, cout, ohw),
-                    &MatRef::transposed(cols, ckk, ohw),
+                    &MatRef::transposed(img_cols, ckk, ohw),
                 );
-            }
-            if let Some(c) = scratch {
-                pool::give(c);
             }
         };
         // The batch sum is not per-image independent, so serial and
@@ -1121,6 +1098,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Forward plus weight gradient on the im2col path, the two users
+    /// of a buffer's kept columns.
+    fn im2col_fwd_and_wgrad(x: &Tensor, wt: &Tensor, spec: Conv2dSpec) -> (Tensor, Tensor) {
+        let y = conv2d_impl(x, wt, None, spec, Some(true));
+        let gw = conv2d_weight_grad_impl(&y, x, spec.kernel, spec, Some(true));
+        (y, gw)
+    }
+
+    fn fresh_copy(t: &Tensor) -> Tensor {
+        Tensor::from_vec(t.data().to_vec(), t.shape().clone())
+    }
+
+    #[test]
+    fn second_lowering_of_a_buffer_returns_the_kept_columns() {
+        let mut rng = crate::Rng::new(50);
+        let x = Tensor::randn([2, 3, 6, 6], &mut rng);
+        let spec = Conv2dSpec::default();
+        let first = batch_columns(&x, spec);
+        // A clone shares the buffer, and with it the columns.
+        let second = batch_columns(&x.clone(), spec);
+        assert!(Arc::ptr_eq(&first, &second));
+        let other_spec = batch_columns(&x, Conv2dSpec::new(3, 2, 1));
+        assert!(!Arc::ptr_eq(&first, &other_spec));
+    }
+
+    #[test]
+    fn conv_after_mutation_matches_conv_on_a_fresh_copy() {
+        let mut rng = crate::Rng::new(51);
+        let mut x = Tensor::randn([2, 3, 6, 6], &mut rng);
+        let wt = Tensor::randn([4, 3, 3, 3], &mut rng);
+        let spec = Conv2dSpec::default();
+        let _ = im2col_fwd_and_wgrad(&x, &wt, spec);
+        // In place (unique owner) and copy-on-write (shared) writes alike.
+        for shared in [false, true] {
+            let _keep = shared.then(|| x.clone());
+            for v in x.data_mut().iter_mut().step_by(5) {
+                *v = -*v * 0.5;
+            }
+            let (y, gw) = im2col_fwd_and_wgrad(&x, &wt, spec);
+            let (y_ref, gw_ref) = im2col_fwd_and_wgrad(&fresh_copy(&x), &wt, spec);
+            assert_eq!(y.data(), y_ref.data(), "forward, shared={shared}");
+            assert_eq!(gw.data(), gw_ref.data(), "weight grad, shared={shared}");
+        }
+    }
+
+    #[test]
+    fn reshaped_view_is_not_served_another_geometrys_columns() {
+        let mut rng = crate::Rng::new(52);
+        let x = Tensor::randn([2, 4, 6, 6], &mut rng);
+        let spec = Conv2dSpec::default();
+        let _ = im2col_fwd_and_wgrad(&x, &Tensor::randn([3, 4, 3, 3], &mut rng), spec);
+        // Same bytes, other (c_in, h, w): must lower afresh.
+        let view = x.reshape([2, 2, 12, 6]);
+        let wt = Tensor::randn([3, 2, 3, 3], &mut rng);
+        let (y, gw) = im2col_fwd_and_wgrad(&view, &wt, spec);
+        let (y_ref, gw_ref) = im2col_fwd_and_wgrad(&fresh_copy(&view), &wt, spec);
+        assert_eq!(y.data(), y_ref.data());
+        assert_eq!(gw.data(), gw_ref.data());
     }
 
     #[test]

@@ -267,11 +267,6 @@ impl PackedB {
         panels_n * NR * KC * s
     }
 
-    /// Bytes held by the packed slab (plan-cache accounting).
-    pub(crate) fn bytes(&self) -> u64 {
-        (self.buf.len() * std::mem::size_of::<f32>()) as u64
-    }
-
     /// Returns the scratch buffer to the pool.
     pub(crate) fn recycle(self) {
         pool::give(self.buf);
@@ -641,7 +636,12 @@ mod tests {
                     Epilogue::Bias(&bias)
                 };
                 let mut fused = vec![0.0f32; m * n];
-                gemm_into_epi(&mut fused, &MatRef::new(&a, m, k), &MatRef::new(&b, k, n), epi);
+                gemm_into_epi(
+                    &mut fused,
+                    &MatRef::new(&a, m, k),
+                    &MatRef::new(&b, k, n),
+                    epi,
+                );
                 let mut unfused = vec![0.0f32; m * n];
                 gemm_into(&mut unfused, &MatRef::new(&a, m, k), &MatRef::new(&b, k, n));
                 for r in 0..m {

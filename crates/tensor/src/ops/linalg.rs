@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use super::gemm::{self, MatRef, PackedB, MC};
-use crate::plancache;
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -20,6 +19,16 @@ const PAR_CHUNK_FLOPS: usize = 1 << 17;
 fn rows_per_chunk(m: usize, k: usize, n: usize) -> usize {
     let rows = (PAR_CHUNK_FLOPS / (2 * k * n).max(1)).clamp(1, m);
     (rows.div_ceil(MC) * MC).min(m)
+}
+
+/// Wraps a finished `m × n` product, applying the one-ULP test hook.
+fn finish_matmul(mut out: Vec<f32>, m: usize, n: usize) -> Tensor {
+    if crate::testhook::matmul_ulp_perturbation() {
+        if let Some(first) = out.first_mut() {
+            *first = crate::testhook::one_ulp_up(*first);
+        }
+    }
+    Tensor::from_pool_buf(out, [m, n])
 }
 
 impl Tensor {
@@ -60,57 +69,11 @@ impl Tensor {
         );
         deco_telemetry::counter!("tensor.ops.matmul");
         deco_telemetry::counter!("tensor.ops.matmul_flops", (2 * m * k * n) as u64);
-        let flops = 2 * m * k * n;
         let mut out = pool::take(m * n);
-        if deco_runtime::threads() > 1 && flops >= PAR_MIN_FLOPS && gemm::use_packed(m, k, n) {
+        if gemm::use_packed(m, k, n) {
             let _span = deco_telemetry::span!("tensor.gemm");
-            let a = self.clone();
-            // Reuse a cached pack of B when the plan cache has one for
-            // this exact buffer version; packing is value-preserving, so
-            // the product is bitwise identical either way.
-            let (bp, from_cache) = match plancache::packed_b(other, k, n) {
-                Some(bp) => (bp, true),
-                None => (
-                    Arc::new(PackedB::pack(&MatRef::new(other.data(), k, n))),
-                    false,
-                ),
-            };
-            let bp_worker = Arc::clone(&bp);
-            let chunks =
-                deco_runtime::parallel_for_chunks(m, rows_per_chunk(m, k, n), move |rows| {
-                    let av = MatRef::new(a.data(), m, k);
-                    let mut buf = pool::take(rows.len() * n);
-                    gemm::gemm_rows_packed(&mut buf, &av, &bp_worker, rows);
-                    buf
-                });
-            let mut cursor = 0usize;
-            for chunk in chunks {
-                out[cursor..cursor + chunk.len()].copy_from_slice(&chunk);
-                cursor += chunk.len();
-                pool::give(chunk);
-            }
-            if !from_cache {
-                if let Ok(bp) = Arc::try_unwrap(bp) {
-                    bp.recycle();
-                }
-            }
-        } else if gemm::use_packed(m, k, n) {
-            // Serial packed path: identical accumulation to gemm_into's
-            // packed branch (a full-range row split is the unsplit run).
-            let _span = deco_telemetry::span!("tensor.gemm");
-            let (bp, from_cache) = match plancache::packed_b(other, k, n) {
-                Some(bp) => (bp, true),
-                None => (
-                    Arc::new(PackedB::pack(&MatRef::new(other.data(), k, n))),
-                    false,
-                ),
-            };
-            gemm::gemm_rows_packed(&mut out, &MatRef::new(self.data(), m, k), &bp, 0..m);
-            if !from_cache {
-                if let Ok(bp) = Arc::try_unwrap(bp) {
-                    bp.recycle();
-                }
-            }
+            let bp = PackedB::pack(&MatRef::new(other.data(), k, n));
+            self.matmul_packed_into(&mut out, bp, n);
         } else {
             gemm::gemm_into(
                 &mut out,
@@ -118,12 +81,7 @@ impl Tensor {
                 &MatRef::new(other.data(), k, n),
             );
         }
-        if crate::testhook::matmul_ulp_perturbation() {
-            if let Some(first) = out.first_mut() {
-                *first = crate::testhook::one_ulp_up(*first);
-            }
-        }
-        Tensor::from_pool_buf(out, [m, n])
+        finish_matmul(out, m, n)
     }
 
     /// Matrix product against a *stored* right operand:
@@ -132,10 +90,10 @@ impl Tensor {
     /// Bitwise identical to `self.matmul(&other.decode())` — the stored
     /// payload is widened to the same f32 values and fed through the
     /// same kernels in the same order — but sub-f32 operands widen at
-    /// *pack time* via the plan cache ([`crate::plancache`]), so a
-    /// synthetic set held in bf16/f16/i8 never needs a persistent f32
-    /// copy across the repeated products of a match step. The `F32`
-    /// variant delegates to [`Tensor::matmul`] directly (zero-copy).
+    /// *pack time*: the f32 values exist only in pooled scratch while
+    /// the GEMM panels are packed, so a synthetic set held in
+    /// bf16/f16/i8 never needs a persistent f32 copy. The `F32` variant
+    /// delegates to [`Tensor::matmul`] directly (zero-copy).
     ///
     /// # Panics
     /// Panics unless both operands are rank 2 with matching inner
@@ -161,21 +119,32 @@ impl Tensor {
         assert_eq!(k, k2, "matmul_stored inner dims: {k} vs {k2}");
         if !gemm::use_packed(m, k, n) {
             // Tiny product: the naive kernel reads a flat f32 slice, so
-            // widen and delegate (identical result, no pack to cache).
+            // widen and delegate (identical result, no pack).
             return self.matmul(&other.decode());
         }
-        let bp = match plancache::packed_b_stored(other, k, n) {
-            Some(bp) => bp,
-            // Cache disabled: widen per call, exactly the uncached path.
-            None => return self.matmul(&other.decode()),
-        };
         deco_telemetry::counter!("tensor.ops.matmul");
         deco_telemetry::counter!("tensor.ops.matmul_flops", (2 * m * k * n) as u64);
-        let flops = 2 * m * k * n;
-        let mut out = pool::take(m * n);
         let _span = deco_telemetry::span!("tensor.gemm");
-        if deco_runtime::threads() > 1 && flops >= PAR_MIN_FLOPS {
+        // Scratch: widen_into writes every element.
+        let mut wide = pool::take_scratch(k * n);
+        other.widen_into(&mut wide);
+        let bp = PackedB::pack(&MatRef::new(&wide, k, n));
+        pool::give(wide);
+        let mut out = pool::take(m * n);
+        self.matmul_packed_into(&mut out, bp, n);
+        finish_matmul(out, m, n)
+    }
+
+    /// `out += self × B` for a packed `k × n` operand `bp`, which is
+    /// recycled afterwards. Large products fan row-panel ranges out
+    /// across the `deco-runtime` pool; every output element accumulates
+    /// in the same shape-derived order serial or parallel, so the result
+    /// is bitwise identical at any thread count.
+    fn matmul_packed_into(&self, out: &mut [f32], bp: PackedB, n: usize) {
+        let (m, k) = (self.shape().dim(0), self.shape().dim(1));
+        if deco_runtime::threads() > 1 && 2 * m * k * n >= PAR_MIN_FLOPS {
             let a = self.clone();
+            let bp = Arc::new(bp);
             let bp_worker = Arc::clone(&bp);
             let chunks =
                 deco_runtime::parallel_for_chunks(m, rows_per_chunk(m, k, n), move |rows| {
@@ -190,15 +159,14 @@ impl Tensor {
                 cursor += chunk.len();
                 pool::give(chunk);
             }
-        } else {
-            gemm::gemm_rows_packed(&mut out, &MatRef::new(self.data(), m, k), &bp, 0..m);
-        }
-        if crate::testhook::matmul_ulp_perturbation() {
-            if let Some(first) = out.first_mut() {
-                *first = crate::testhook::one_ulp_up(*first);
+            if let Ok(bp) = Arc::try_unwrap(bp) {
+                bp.recycle();
             }
+        } else {
+            // A full-range row split is the unsplit run.
+            gemm::gemm_rows_packed(out, &MatRef::new(self.data(), m, k), &bp, 0..m);
+            bp.recycle();
         }
-        Tensor::from_pool_buf(out, [m, n])
     }
 
     /// Transpose of a rank-2 tensor.

@@ -1,6 +1,7 @@
 #!/bin/bash
 # Regenerates every table/figure at smoke scale, centerpiece first.
-cd /root/repo
+cd "$(dirname "$0")"
+mkdir -p reports/logs
 B=target/release
 $B/table1    --out reports > reports/logs/table1.log 2>&1
 $B/fig3      --out reports > reports/logs/fig3.log 2>&1
