@@ -6,7 +6,8 @@
 //! With `--telemetry`, two raw-replay-buffer baselines (Random, FIFO) join
 //! the grid and every entry carries measured `peak_memory_bytes` and
 //! per-segment `wall_time_ms`, reproducing the paper's memory model
-//! (raw buffer vs. condensed IpC×C images) as a measured quantity.
+//! (raw buffer vs. condensed IpC×C images) as a measured quantity, plus
+//! the telemetry snapshot of that trial alone.
 //!
 //! ```bash
 //! cargo run -p deco-bench --release --bin table2 -- --scale smoke --telemetry
@@ -28,6 +29,8 @@ struct Entry {
     accuracy: f32,
     peak_memory_bytes: Option<u64>,
     wall_time_ms: Vec<f64>,
+    /// What this trial alone recorded (`None` without `--telemetry`).
+    telemetry: Option<TelemetrySnapshot>,
 }
 
 impl_to_json!(Entry {
@@ -36,7 +39,8 @@ impl_to_json!(Entry {
     seconds,
     accuracy,
     peak_memory_bytes,
-    wall_time_ms
+    wall_time_ms,
+    telemetry
 });
 
 fn main() {
@@ -101,6 +105,7 @@ fn main() {
                 accuracy: result.final_accuracy,
                 peak_memory_bytes: result.peak_memory_bytes,
                 wall_time_ms: result.segment_wall_time_ms,
+                telemetry: args.telemetry.then(TelemetrySnapshot::capture),
             });
         }
         table.push_row(row);
@@ -154,18 +159,7 @@ fn main() {
                 .sum::<f64>(),
         ),
     };
-    let report = Json::obj([
-        ("entries", entries.to_json()),
-        ("usage", usage.to_json()),
-        (
-            "telemetry",
-            if args.telemetry {
-                TelemetrySnapshot::capture().to_json()
-            } else {
-                Json::Null
-            },
-        ),
-    ]);
+    let report = Json::obj([("entries", entries.to_json()), ("usage", usage.to_json())]);
     write_json_value(&args.out_dir, "table2", &report).expect("write table2.json");
     eprintln!(
         "[table2] report written to {}/table2.json",

@@ -427,8 +427,9 @@ impl OnDeviceLearner {
     }
 
     /// Phase 2 of segment processing: hand the kept items to the buffer
-    /// policy (condense or select). A segment with nothing kept is a
-    /// no-op, exactly as in the monolithic path.
+    /// policy (condense, or select in one
+    /// [`SelectionStrategy::offer_segment`] call). A segment with nothing
+    /// kept is a no-op, exactly as in the monolithic path.
     pub fn condense_prepared(&mut self, prepared: &PreparedSegment) {
         let Some(kept_images) = &prepared.kept_images else {
             return;
@@ -450,19 +451,18 @@ impl OnDeviceLearner {
             }
             BufferPolicy::Selection { strategy, buffer } => {
                 let frame: Vec<usize> = kept_images.shape().dims()[1..].to_vec();
-                for k in 0..prepared.kept {
-                    let image = kept_images.select_rows(&[k]).reshape(frame.clone());
-                    let item = BufferItem {
-                        image,
+                let candidates = (0..prepared.kept)
+                    .map(|k| BufferItem {
+                        image: kept_images.select_rows(&[k]).reshape(frame.clone()),
                         label: prepared.kept_labels[k],
                         confidence: prepared.kept_weights[k],
-                    };
-                    let mut ctx = SelectionContext {
-                        model: &self.model,
-                        rng: &mut self.rng,
-                    };
-                    strategy.offer(buffer, item, &mut ctx);
-                }
+                    })
+                    .collect();
+                let mut ctx = SelectionContext {
+                    model: &self.model,
+                    rng: &mut self.rng,
+                };
+                strategy.offer_segment(buffer, candidates, &mut ctx);
             }
         }
     }

@@ -7,6 +7,10 @@
 //! All strategies implement [`SelectionStrategy`] and are driven by the
 //! same on-device learning loop as DECO itself (see the `deco` crate), so
 //! the comparison differs only in buffer policy — exactly as in the paper.
+//! The loop offers a segment's kept items in one
+//! [`SelectionStrategy::offer_segment`] call, inside which the model is
+//! fixed; K-Center and Herding use that to compute each stored item's
+//! feature once per segment instead of once per candidate.
 //!
 //! ```
 //! use deco_replay::{BaselineKind, BufferItem, ReplayBuffer, SelectionContext};

@@ -1,5 +1,20 @@
 //! The five buffer-selection baselines the paper compares against:
 //! Random (reservoir), FIFO, Selective-BP, K-Center and GSS-Greedy.
+//!
+//! # One call, one model
+//!
+//! The learning loop hands a segment's kept items to a strategy in one
+//! [`SelectionStrategy::offer_segment`] call. Within that call the model
+//! in the [`SelectionContext`] cannot change, so a strategy may compute
+//! each stored item's feature once and reuse it for every candidate of
+//! the segment. K-Center and Herding do exactly that: they keep a
+//! per-slot feature table (and K-Center a pairwise distance matrix)
+//! that lives only for the call, refill a slot from the *stored* item
+//! after a replacement (storage precision snaps the image on entry),
+//! and decide every candidate exactly as a per-candidate
+//! [`SelectionStrategy::offer`] would. Nothing outlives the call, so
+//! there is nothing to invalidate between segments. Every batch-1
+//! feature forward counts towards the `replay.feature_passes` counter.
 
 use deco_nn::{cosine_distance, ConvNet, GradList};
 use deco_tensor::{Reduction, Rng, Tensor, Var};
@@ -31,6 +46,76 @@ pub trait SelectionStrategy {
         candidate: BufferItem,
         ctx: &mut SelectionContext<'_>,
     );
+
+    /// Offers one segment's candidates in order, under one model. The
+    /// resulting buffer, strategy state and RNG draws are exactly those
+    /// of calling [`SelectionStrategy::offer`] on each candidate in
+    /// turn; strategies override it only to share work across the
+    /// segment's candidates.
+    fn offer_segment(
+        &mut self,
+        buffer: &mut ReplayBuffer,
+        candidates: Vec<BufferItem>,
+        ctx: &mut SelectionContext<'_>,
+    ) {
+        for candidate in candidates {
+            self.offer(buffer, candidate, ctx);
+        }
+    }
+}
+
+/// The batch-1 feature embedding K-Center and Herding compare samples in.
+fn feature(model: &ConvNet, image: &Tensor) -> Tensor {
+    deco_telemetry::counter!("replay.feature_passes");
+    let dims = image.shape().dims().to_vec();
+    let mut batched = vec![1usize];
+    batched.extend_from_slice(&dims);
+    let x = Var::constant(image.reshape(batched));
+    model.features(&x, true).value().clone()
+}
+
+/// Squared Euclidean distance, summed in f64 in element order: bitwise
+/// `(a - b).dot(&(a - b))` without the temporary.
+fn dist2(a: &Tensor, b: &Tensor) -> f32 {
+    assert_eq!(a.numel(), b.numel(), "dist2 length mismatch");
+    a.data()
+        .iter()
+        .zip(b.data())
+        .map(|(&x, &y)| {
+            let d = (x - y) as f64;
+            d * d
+        })
+        .sum::<f64>() as f32
+}
+
+/// Features of the buffer's stored items, one entry per buffer slot,
+/// filled on first use and valid for one `offer_segment` call.
+struct SlotFeatures {
+    feats: Vec<Option<Tensor>>,
+}
+
+impl SlotFeatures {
+    fn new(buffer: &ReplayBuffer) -> Self {
+        SlotFeatures {
+            feats: vec![None; buffer.capacity()],
+        }
+    }
+
+    /// The feature of the item stored in `slot`, computed on first use.
+    fn get(&mut self, model: &ConvNet, buffer: &ReplayBuffer, slot: usize) -> &Tensor {
+        self.feats[slot].get_or_insert_with(|| feature(model, &buffer.items()[slot].image))
+    }
+
+    /// The feature of `slot`, which an earlier [`SlotFeatures::get`]
+    /// filled.
+    fn filled(&self, slot: usize) -> &Tensor {
+        self.feats[slot].as_ref().expect("slot feature filled")
+    }
+
+    /// Forgets `slot` after the buffer replaced its item.
+    fn invalidate(&mut self, slot: usize) {
+        self.feats[slot] = None;
+    }
 }
 
 /// Identifier for constructing baselines by name (used by the experiment
@@ -241,18 +326,57 @@ impl KCenter {
     pub fn new() -> Self {
         KCenter { _private: () }
     }
+}
 
-    fn feature(model: &ConvNet, image: &Tensor) -> Tensor {
-        let dims = image.shape().dims().to_vec();
-        let mut batched = vec![1usize];
-        batched.extend_from_slice(&dims);
-        let x = Var::constant(image.reshape(batched));
-        model.features(&x, true).value().clone()
+/// Pairwise squared feature distances of a full buffer, for one
+/// `offer_segment` call. Entry `(i, j)` with `i < j` holds
+/// `dist2(f_i, f_j)`; the lower triangle is unused.
+struct PairDistances {
+    n: usize,
+    d: Vec<f32>,
+}
+
+impl PairDistances {
+    fn build(feats: &SlotFeatures, n: usize) -> Self {
+        let mut pairs = PairDistances {
+            n,
+            d: vec![f32::INFINITY; n * n],
+        };
+        for i in 0..n {
+            for j in (i + 1)..n {
+                pairs.d[i * n + j] = dist2(feats.filled(i), feats.filled(j));
+            }
+        }
+        pairs
     }
 
-    fn dist2(a: &Tensor, b: &Tensor) -> f32 {
-        let d = a - b;
-        d.dot(&d)
+    /// Recomputes the row and column of `slot` after its item changed.
+    fn refresh(&mut self, feats: &SlotFeatures, slot: usize) {
+        let n = self.n;
+        for i in 0..slot {
+            self.d[i * n + slot] = dist2(feats.filled(i), feats.filled(slot));
+        }
+        for j in (slot + 1)..n {
+            self.d[slot * n + j] = dist2(feats.filled(slot), feats.filled(j));
+        }
+    }
+
+    /// The closest pair, scanned in `i < j` order with a strict `<`, so
+    /// the first of several tied pairs wins.
+    fn closest(&self) -> ((usize, usize), f32) {
+        let n = self.n;
+        let mut pair = (0usize, 1usize);
+        let mut pair_d = f32::INFINITY;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = self.d[i * n + j];
+                if d < pair_d {
+                    pair_d = d;
+                    pair = (i, j);
+                }
+            }
+        }
+        (pair, pair_d)
     }
 }
 
@@ -267,40 +391,45 @@ impl SelectionStrategy for KCenter {
         candidate: BufferItem,
         ctx: &mut SelectionContext<'_>,
     ) {
-        buffer.record_seen();
-        if !buffer.is_full() {
-            buffer.push(candidate);
-            return;
-        }
-        if buffer.capacity() == 1 {
-            // Degenerate coverage: keep the first sample.
-            return;
-        }
-        let cand_feat = Self::feature(ctx.model, &candidate.image);
-        let feats: Vec<Tensor> = buffer
-            .items()
-            .iter()
-            .map(|it| Self::feature(ctx.model, &it.image))
-            .collect();
-        // Candidate's distance to its nearest stored sample.
-        let cand_nearest = feats
-            .iter()
-            .map(|f| Self::dist2(&cand_feat, f))
-            .fold(f32::INFINITY, f32::min);
-        // Closest stored pair.
-        let mut pair = (0usize, 1usize);
-        let mut pair_d = f32::INFINITY;
-        for i in 0..feats.len() {
-            for j in (i + 1)..feats.len() {
-                let d = Self::dist2(&feats[i], &feats[j]);
-                if d < pair_d {
-                    pair_d = d;
-                    pair = (i, j);
-                }
+        self.offer_segment(buffer, vec![candidate], ctx);
+    }
+
+    fn offer_segment(
+        &mut self,
+        buffer: &mut ReplayBuffer,
+        candidates: Vec<BufferItem>,
+        ctx: &mut SelectionContext<'_>,
+    ) {
+        let mut feats = SlotFeatures::new(buffer);
+        let mut pairs: Option<PairDistances> = None;
+        for candidate in candidates {
+            buffer.record_seen();
+            if !buffer.is_full() {
+                buffer.push(candidate);
+                continue;
             }
-        }
-        if cand_nearest > pair_d {
-            buffer.replace(pair.1, candidate);
+            if buffer.capacity() == 1 {
+                // Degenerate coverage: keep the first sample.
+                continue;
+            }
+            let pairs = pairs.get_or_insert_with(|| {
+                for slot in 0..buffer.len() {
+                    feats.get(ctx.model, buffer, slot);
+                }
+                PairDistances::build(&feats, buffer.len())
+            });
+            let cand_feat = feature(ctx.model, &candidate.image);
+            // Candidate's distance to its nearest stored sample.
+            let cand_nearest = (0..buffer.len())
+                .map(|slot| dist2(&cand_feat, feats.filled(slot)))
+                .fold(f32::INFINITY, f32::min);
+            let ((_, victim), pair_d) = pairs.closest();
+            if cand_nearest > pair_d {
+                buffer.replace(victim, candidate);
+                feats.invalidate(victim);
+                feats.get(ctx.model, buffer, victim);
+                pairs.refresh(&feats, victim);
+            }
         }
     }
 }
@@ -451,14 +580,6 @@ impl Herding {
         }
     }
 
-    fn feature(model: &ConvNet, image: &Tensor) -> Tensor {
-        let dims = image.shape().dims().to_vec();
-        let mut batched = vec![1usize];
-        batched.extend_from_slice(&dims);
-        let x = Var::constant(image.reshape(batched));
-        model.features(&x, true).value().clone()
-    }
-
     fn update_running_mean(&mut self, class: usize, feat: &Tensor) {
         match self.class_means.get_mut(&class) {
             Some((mean, count)) => {
@@ -479,8 +600,7 @@ impl Herding {
         for f in feats {
             mean.add_scaled(f, 1.0 / feats.len() as f32);
         }
-        let d = &mean - target;
-        d.dot(&d)
+        dist2(&mean, target)
     }
 }
 
@@ -495,63 +615,81 @@ impl SelectionStrategy for Herding {
         candidate: BufferItem,
         ctx: &mut SelectionContext<'_>,
     ) {
-        buffer.record_seen();
-        let cand_feat = Self::feature(ctx.model, &candidate.image);
-        self.update_running_mean(candidate.label, &cand_feat);
-        if !buffer.is_full() {
-            buffer.push(candidate);
-            return;
-        }
-        let class = candidate.label;
-        let target = match self.class_means.get(&class) {
-            Some((mean, _)) => mean.clone(),
-            None => return,
-        };
-        // Same-class stored exemplars.
-        let same: Vec<(usize, Tensor)> = buffer
-            .items()
-            .iter()
-            .enumerate()
-            .filter(|(_, it)| it.label == class)
-            .map(|(i, it)| (i, Self::feature(ctx.model, &it.image)))
-            .collect();
-        if same.is_empty() {
-            // The class has no exemplars: take a slot from the largest class.
-            let mut counts = std::collections::HashMap::new();
-            for it in buffer.items() {
-                *counts.entry(it.label).or_insert(0usize) += 1;
+        self.offer_segment(buffer, vec![candidate], ctx);
+    }
+
+    fn offer_segment(
+        &mut self,
+        buffer: &mut ReplayBuffer,
+        candidates: Vec<BufferItem>,
+        ctx: &mut SelectionContext<'_>,
+    ) {
+        let mut feats = SlotFeatures::new(buffer);
+        for candidate in candidates {
+            buffer.record_seen();
+            let cand_feat = feature(ctx.model, &candidate.image);
+            self.update_running_mean(candidate.label, &cand_feat);
+            if !buffer.is_full() {
+                buffer.push(candidate);
+                continue;
             }
-            let largest = counts.into_iter().max_by_key(|&(_, c)| c).map(|(y, _)| y);
-            if let Some(y) = largest {
-                let victim = buffer
-                    .items()
-                    .iter()
-                    .position(|it| it.label == y)
-                    .expect("class has members");
-                buffer.replace(victim, candidate);
-            }
-            return;
-        }
-        // Evaluate dropping each stored same-class exemplar in favor of the
-        // candidate; accept the best swap if it tightens the mean gap.
-        let baseline_feats: Vec<&Tensor> = same.iter().map(|(_, f)| f).collect();
-        let current_gap = Self::mean_gap(&baseline_feats, &target);
-        let mut best: Option<(usize, f32)> = None;
-        for drop in 0..same.len() {
-            let feats: Vec<&Tensor> = same
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| k != drop)
-                .map(|(_, (_, f))| f)
-                .chain(std::iter::once(&cand_feat))
+            let class = candidate.label;
+            let target = match self.class_means.get(&class) {
+                Some((mean, _)) => mean.clone(),
+                None => continue,
+            };
+            // Same-class stored exemplars.
+            let same: Vec<usize> = (0..buffer.len())
+                .filter(|&i| buffer.items()[i].label == class)
                 .collect();
-            let gap = Self::mean_gap(&feats, &target);
-            if gap < best.map_or(current_gap, |(_, g)| g) {
-                best = Some((same[drop].0, gap));
+            if same.is_empty() {
+                // The class has no exemplars: take a slot from the largest
+                // class, the lowest label among equally large ones.
+                let mut counts = std::collections::BTreeMap::new();
+                for it in buffer.items() {
+                    *counts.entry(it.label).or_insert(0usize) += 1;
+                }
+                let largest = counts
+                    .into_iter()
+                    .max_by_key(|&(y, c)| (c, std::cmp::Reverse(y)))
+                    .map(|(y, _)| y);
+                if let Some(y) = largest {
+                    let victim = buffer
+                        .items()
+                        .iter()
+                        .position(|it| it.label == y)
+                        .expect("class has members");
+                    buffer.replace(victim, candidate);
+                    feats.invalidate(victim);
+                }
+                continue;
             }
-        }
-        if let Some((victim, _)) = best {
-            buffer.replace(victim, candidate);
+            for &slot in &same {
+                feats.get(ctx.model, buffer, slot);
+            }
+            // Evaluate dropping each stored same-class exemplar in favor of
+            // the candidate; accept the best swap if it tightens the mean
+            // gap.
+            let baseline_feats: Vec<&Tensor> = same.iter().map(|&i| feats.filled(i)).collect();
+            let current_gap = Self::mean_gap(&baseline_feats, &target);
+            let mut best: Option<(usize, f32)> = None;
+            for drop in 0..same.len() {
+                let swapped: Vec<&Tensor> = same
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != drop)
+                    .map(|(_, &i)| feats.filled(i))
+                    .chain(std::iter::once(&cand_feat))
+                    .collect();
+                let gap = Self::mean_gap(&swapped, &target);
+                if gap < best.map_or(current_gap, |(_, g)| g) {
+                    best = Some((same[drop], gap));
+                }
+            }
+            if let Some((victim, _)) = best {
+                buffer.replace(victim, candidate);
+                feats.invalidate(victim);
+            }
         }
     }
 }
@@ -733,6 +871,28 @@ mod tests {
         let (mean, count) = &h.class_means[&0];
         assert_eq!(*count, 2);
         assert_eq!(mean.data(), &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn herding_breaks_largest_class_ties_by_lowest_label() {
+        // Classes 3 and 1 tie as the largest; a class-0 candidate has no
+        // exemplars, so it takes the first label-1 slot — every time, with
+        // a fresh strategy (and fresh hash maps) per run.
+        let mut rng = Rng::new(11);
+        let model = tiny_model(&mut rng);
+        for _ in 0..32 {
+            let mut strat = Herding::new();
+            let mut buffer = ReplayBuffer::new(4);
+            for (i, label) in [3, 1, 3, 1, 0].into_iter().enumerate() {
+                let mut ctx = SelectionContext {
+                    model: &model,
+                    rng: &mut rng,
+                };
+                strat.offer(&mut buffer, item(label, 0.5, i as f32), &mut ctx);
+            }
+            let labels: Vec<usize> = buffer.items().iter().map(|it| it.label).collect();
+            assert_eq!(labels, vec![3, 0, 3, 1]);
+        }
     }
 
     #[test]
